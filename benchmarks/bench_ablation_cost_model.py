@@ -13,13 +13,12 @@ the cost models pick well enough that the planner's regret stays small.
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.core import planner as P
-from repro.core.swole import compile_swole
-from repro.codegen import compile_query
+from repro.codegen.pipeline import compile_pipeline
 from repro.datagen import microbench as mb
 from repro.engine.session import Session
+from repro.plan.ops import from_query
+from repro.plan.passes import VALUE_MASK
 
-from conftest import BENCH_CONFIG
 
 SELS = (1, 10, 25, 50, 75, 90, 99)
 
@@ -28,26 +27,24 @@ SELS = (1, 10, 25, 50, 75, 90, 99)
 def costs(micro_db, micro_machine):
     """Measured cycles per (selectivity, variant) for µQ1-mul and -div."""
     session = Session(machine=micro_machine)
+    engine = sweep.sweep_engine(micro_db, micro_machine)
     out = {}
     for op in ("mul", "div"):
         for sel in SELS:
             query = mb.q1(sel, op)
             row = {}
             row["hybrid"] = (
-                compile_query(query, micro_db, "hybrid").run(session).cycles
+                engine.compile(query, "hybrid").run(session).cycles
             )
             row["forced_vm"] = (
-                compile_swole(
-                    query, micro_db, machine=micro_machine,
-                    force=P.VALUE_MASKING,
+                sweep.compile_forced(
+                    query, micro_db, micro_machine, agg_mode=VALUE_MASK
                 )
                 .run(session)
                 .cycles
             )
             row["planned"] = (
-                compile_swole(query, micro_db, machine=micro_machine)
-                .run(session)
-                .cycles
+                engine.compile(query, "swole").run(session).cycles
             )
             out[(op, sel)] = row
     return out
@@ -91,8 +88,9 @@ def test_bench_planned_compile_and_run(benchmark, micro_db, micro_machine):
     session = Session(machine=micro_machine)
 
     def run():
-        compiled = compile_swole(
-            mb.q1(50), micro_db, machine=micro_machine
+        compiled = compile_pipeline(
+            from_query(mb.q1(50)), micro_db, "swole",
+            machine=micro_machine, encoding="off",
         )
         return compiled.run(session)
 

@@ -9,11 +9,10 @@ column exactly once.
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.core import planner as P
-from repro.core.swole import compile_swole
 from repro.datagen import microbench as mb
 from repro.engine.events import SeqRead
 from repro.engine.session import Session
+from repro.plan.passes import VALUE_MASK
 
 from conftest import BENCH_CONFIG, BENCH_SELS
 
@@ -33,7 +32,9 @@ def fig10b(micro_db):
 @pytest.mark.parametrize("col", ("r_b", "r_x"))
 def test_fig10_wall_time(benchmark, micro_db, micro_session, micro_machine,
                          col):
-    compiled = compile_swole(mb.q3(50, col), micro_db, machine=micro_machine)
+    compiled = sweep.sweep_engine(micro_db, micro_machine).compile(
+        mb.q3(50, col), "swole"
+    )
     benchmark.group = f"fig10:col={col}"
     benchmark.pedantic(
         lambda: compiled.run(micro_session), rounds=3, iterations=1
@@ -51,16 +52,15 @@ def test_fig10_merging_never_hurts(micro_db, micro_machine):
     session = Session(machine=micro_machine)
     for col in ("r_b", "r_x"):
         query = mb.q3(50, col)
-        merged = compile_swole(
-            query, micro_db, machine=micro_machine, force=P.VALUE_MASKING
+        merged = sweep.compile_forced(
+            query, micro_db, micro_machine, agg_mode=VALUE_MASK
         ).run(session)
         assert merged.cycles > 0
 
 
 def test_fig10_merged_column_read_once(micro_db, micro_machine):
-    compiled = compile_swole(
-        mb.q3(50, "r_x"), micro_db, machine=micro_machine,
-        force=P.VALUE_MASKING,
+    compiled = sweep.compile_forced(
+        mb.q3(50, "r_x"), micro_db, micro_machine, agg_mode=VALUE_MASK
     )
     result = compiled.run(Session(machine=micro_machine))
     reads_of_x = [

@@ -9,8 +9,6 @@ few hash lookups happen anyway.
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.core.swole import compile_swole
-from repro.codegen import compile_query
 from repro.datagen import microbench as mb
 from repro.engine.session import Session
 
@@ -43,11 +41,9 @@ def join_db():
 
 @pytest.mark.parametrize("strategy", ("hybrid", "swole"))
 def test_fig11_wall_time(benchmark, join_db, micro_machine, strategy):
-    query = mb.q4(90, 50)
-    if strategy == "swole":
-        compiled = compile_swole(query, join_db, machine=micro_machine)
-    else:
-        compiled = compile_query(query, join_db, strategy)
+    compiled = sweep.sweep_engine(join_db, micro_machine).compile(
+        mb.q4(90, 50), strategy
+    )
     session = Session(machine=micro_machine)
     benchmark.group = "fig11"
     benchmark.pedantic(

@@ -11,8 +11,6 @@ Shape assertions (paper §IV-B1):
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.codegen import compile_query
-from repro.core.swole import compile_swole
 from repro.datagen import microbench as mb
 
 from conftest import BENCH_CONFIG, BENCH_SELS
@@ -34,11 +32,8 @@ def fig8b(micro_db):
 @pytest.mark.parametrize("sel", (10, 50, 90))
 def test_fig8_wall_time(benchmark, micro_db, micro_session, micro_machine,
                         strategy, sel):
-    query = mb.q1(sel)
-    if strategy == "swole":
-        compiled = compile_swole(query, micro_db, machine=micro_machine)
-    else:
-        compiled = compile_query(query, micro_db, strategy)
+    engine = sweep.sweep_engine(micro_db, micro_machine)
+    compiled = engine.compile(mb.q1(sel), strategy)
     benchmark.group = f"fig8a:sel={sel}"
     benchmark.pedantic(
         lambda: compiled.run(micro_session), rounds=3, iterations=1

@@ -11,8 +11,6 @@ Shape assertions (paper §IV-B2):
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.core.swole import compile_swole
-from repro.codegen import compile_query
 from repro.datagen import microbench as mb
 
 from conftest import BENCH_CONFIG, BENCH_SELS
@@ -38,11 +36,9 @@ def test_fig9_wall_time(benchmark, micro_machine, strategy, card):
         c_cardinality=scaled_card,
     )
     db = mb.generate(config)
-    query = mb.q2(50)
-    if strategy == "swole":
-        compiled = compile_swole(query, db, machine=micro_machine)
-    else:
-        compiled = compile_query(query, db, strategy)
+    compiled = sweep.sweep_engine(db, micro_machine).compile(
+        mb.q2(50), strategy
+    )
     from repro.engine.session import Session
 
     session = Session(machine=micro_machine)

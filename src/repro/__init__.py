@@ -19,18 +19,16 @@ Operator-tree plans are the primary query API: build one fluently with
 ``repro.tpch.logical_plan``) and hand it to ``Engine.execute`` /
 ``Engine.explain`` — or to a remote query server, which carries the
 same plan over the wire as structural JSON plus its IR fingerprint
-(:mod:`repro.plan.serde`). Addressing TPC-H queries by bare name string
-still works but is deprecated.
+(:mod:`repro.plan.serde`). Legacy microbench ``Query`` objects are
+lifted onto their operator tree at the engine's front door; every query
+compiles through the one staged pipeline.
 
-``Engine.explain(query, strategy)`` renders the staged lowering pipeline
-(logical plan -> passes -> physical plan) for any query with an operator
-tree. The pre-1.2 module-level ``compile_query`` / ``compile_swole``
-wrappers have been removed; call ``Engine.compile`` (or the underlying
-``repro.codegen.base.compile_query`` / ``repro.core.swole.compile_swole``
-for the research knobs).
+``Engine.explain(query, strategy)`` renders that pipeline (logical plan
+-> passes -> physical plan -> backend) for any query; the generated
+program text is on ``Engine.compile(query).source``.
 """
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 from .codegen import available_strategies
 from .core import plan_query

@@ -39,7 +39,8 @@ from ..datagen.cache import load_dataset
 from ..engine.machine import PAPER_MACHINE
 from ..engine.program import results_equal
 from ..engine.session import Session
-from ..tpch.base import STRATEGIES, compile_tpch, query_names
+from ..codegen.pipeline import STRATEGIES, compile_pipeline
+from ..tpch import logical_plan, query_names
 
 #: Code widths of the model sweep — the byte widths the three codecs
 #: actually produce (dict codes, null-suppressed ints, fixed-point),
@@ -100,11 +101,12 @@ def run_tpch_sweep(db, machine) -> Dict[str, Any]:
     identical = 0
     for name in query_names():
         for strategy in STRATEGIES:
-            encoded_prog = compile_tpch(
-                name, strategy, db, machine=machine, encoding="auto"
+            plan = logical_plan(name)
+            encoded_prog = compile_pipeline(
+                plan, db, strategy, machine=machine, encoding="auto"
             )
-            decoded_prog = compile_tpch(
-                name, strategy, db, machine=machine, encoding="off"
+            decoded_prog = compile_pipeline(
+                plan, db, strategy, machine=machine, encoding="off"
             )
             encoded = encoded_prog.run(Session(machine=machine))
             decoded = decoded_prog.run(Session(machine=machine))

@@ -5,7 +5,10 @@ configuration across a selectivity sweep and returns a
 :class:`SweepResult` with one simulated-runtime series per strategy.
 Strategies and data sizes follow the paper; data is shrunk by
 ``config.scale_factor`` and the machine model's caches shrink by the
-same factor, preserving every structure-size : cache-size ratio.
+same factor, preserving every structure-size : cache-size ratio. Every
+query compiles through the staged pipeline on the instrumented backend
+with the access-encoding knob off: the paper's figures measure
+uncompressed columns.
 
 The module is import-light on purpose: the pytest-benchmark files under
 ``benchmarks/`` call these functions, and each also has a ``main`` that
@@ -14,15 +17,20 @@ prints the paper-style series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.swole import compile_swole
+from ..codegen.lower import lower_plan
+from ..codegen.physexec import execute_plan
+from ..core import planner as P
 from ..datagen import microbench as mb
 from ..datagen.cache import load_dataset
 from ..engine.facade import Engine
 from ..engine.machine import PAPER_MACHINE, MachineModel
+from ..engine.program import CompiledQuery
+from ..plan import passes as PS
 from ..plan.logical import Query
+from ..plan.ops import from_query
 from ..storage.database import Database
 
 #: Selectivity sweep used by every figure (the paper plots 0-100 %).
@@ -88,6 +96,92 @@ def scaled_machine(config: mb.MicrobenchConfig) -> MachineModel:
     return PAPER_MACHINE.scaled(config.scale_factor)
 
 
+#: Pipeline aggregation modes under the planner's technique names.
+_TECHNIQUES = {
+    PS.CONDITIONAL: "datacentric",
+    PS.GATHERED: P.HYBRID,
+    PS.VALUE_MASK: P.VALUE_MASKING,
+    PS.KEY_MASK: P.KEY_MASKING,
+}
+
+
+def technique_labels(decisions: PS.Decisions) -> str:
+    """The SWOLE passes' decisions in the planner's technique names
+    (``aggregation=value_masking, access_merging=['r_x']``, ...)."""
+    parts = [f"aggregation={_TECHNIQUES[decisions.agg_mode]}"]
+    if decisions.merged_columns:
+        parts.append(f"access_merging={list(decisions.merged_columns)}")
+    for mode in decisions.join_modes.values():
+        if mode != PS.HASH_JOIN:
+            parts.append(f"semijoin={mode}")
+    if decisions.groupjoin_mode is not None:
+        parts.append(f"groupjoin={decisions.groupjoin_mode}")
+    return ", ".join(parts)
+
+
+def swole_decisions(
+    query: Query, db: Database, machine: MachineModel
+) -> tuple:
+    """The bound tree and SWOLE pass decisions for ``query``."""
+    bound, decisions, _ = PS.run_passes(
+        from_query(query), db, machine, "swole", encoding="off"
+    )
+    return bound, decisions
+
+
+def compile_forced(
+    query: Query,
+    db: Database,
+    machine: Optional[MachineModel] = None,
+    **choices,
+) -> CompiledQuery:
+    """Compile ``query`` under SWOLE with pass decisions overridden.
+
+    Measures the road not taken: the SWOLE passes run as usual, then
+    each keyword replaces that :class:`~repro.plan.passes.Decisions`
+    field (``agg_mode=PS.VALUE_MASK``, ``groupjoin_mode=P.EAGER``,
+    ...) before lowering. A forced masked aggregation also gets the
+    access merging the §III-C pass applies to masked plans ("always
+    better"). The program interprets the physical plan serially on
+    the instrumented backend; ``notes["plan"]`` holds the
+    :func:`technique_labels` of what ran.
+    """
+    machine = machine if machine is not None else PAPER_MACHINE
+    bound, decisions = swole_decisions(query, db, machine)
+    decisions = replace(decisions, **choices)
+    if (
+        decisions.agg_mode in (PS.VALUE_MASK, PS.KEY_MASK)
+        and "merged_columns" not in choices
+    ):
+        decisions.merged_columns = PS.merged_columns(bound.root)
+    physical = lower_plan(bound, decisions, db, "swole")
+
+    def run(session):
+        return execute_plan(physical, db, session)
+
+    return CompiledQuery(
+        name=bound.name,
+        strategy="swole",
+        source=physical.describe(),
+        _fn=run,
+        notes={"plan": technique_labels(decisions)},
+    )
+
+
+def sweep_engine(
+    db: Database, machine: MachineModel, workers: int = 1
+) -> Engine:
+    """An engine for simulated-cycle figures: instrumented backend,
+    decoded scans."""
+    return Engine(
+        db,
+        machine=machine,
+        workers=workers,
+        backend="instrumented",
+        encoding="off",
+    )
+
+
 def run_strategies(
     query: Query,
     db: Database,
@@ -103,10 +197,7 @@ def run_strategies(
     amortise compilation through its plan cache across calls.
     """
     if engine is None:
-        # Simulated-cycle figures are the instrumented backend's job.
-        engine = Engine(
-            db, machine=machine, workers=workers, backend="instrumented"
-        )
+        engine = sweep_engine(db, machine, workers)
     out: Dict[str, float] = {}
     for strategy in strategies:
         result = engine.execute(query, strategy, workers=workers)
@@ -124,9 +215,7 @@ def _sweep(
     workers: int = 1,
     plan_cache: str = "warm",
 ) -> SweepResult:
-    engine = Engine(
-        db, machine=machine, workers=workers, backend="instrumented"
-    )
+    engine = sweep_engine(db, machine, workers)
     result = SweepResult(title=title, x_label="sel%", workers=workers)
     for sel in selectivities:
         if plan_cache == "cold":
@@ -137,8 +226,8 @@ def _sweep(
         )
         for strategy, value in seconds.items():
             result.add(sel, strategy, value)
-        swole_compiled = compile_swole(query, db, machine=machine)
-        result.decisions[sel] = swole_compiled.notes.get("plan", "")
+        _, decisions = swole_decisions(query, db, machine)
+        result.decisions[sel] = technique_labels(decisions)
     result.cache_stats = engine.cache_stats.snapshot()
     return result
 

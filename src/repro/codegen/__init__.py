@@ -1,11 +1,12 @@
-"""Code-generation strategies: data-centric, hybrid, ROF (and SWOLE via
-:mod:`repro.core`, which registers itself under the name ``"swole"``)."""
+"""Code generation: the staged lowering pipeline (logical plan ->
+passes -> physical plan -> instrumented or vectorized program)."""
 
-from .base import available_strategies, compile_query, get_strategy
+from .pipeline import STRATEGIES, compile_pipeline
 
-# Importing the strategy modules registers them.
-from . import datacentric as _datacentric  # noqa: F401
-from . import hybrid as _hybrid  # noqa: F401
-from . import rof as _rof  # noqa: F401
 
-__all__ = ["available_strategies", "compile_query", "get_strategy"]
+def available_strategies() -> list:
+    """The code-generation strategies every query compiles under."""
+    return list(STRATEGIES)
+
+
+__all__ = ["STRATEGIES", "available_strategies", "compile_pipeline"]

@@ -1,4 +1,6 @@
-"""SWOLE core: techniques, cost models, and the technique planner."""
+"""SWOLE core: the §III cost models, the technique planner, and the
+runtime helpers the physical-plan executor calls (key masking, eager
+aggregation)."""
 
 from .cost_models import (
     ModelInputs,
@@ -11,12 +13,10 @@ from .cost_models import (
     value_masking_cost,
 )
 from .planner import SwolePlan, model_inputs, plan_query, technique_matrix
-from .swole import compile_swole
 
 __all__ = [
     "ModelInputs",
     "SwolePlan",
-    "compile_swole",
     "eager_aggregation_cost",
     "groupjoin_cost",
     "hybrid_cost",

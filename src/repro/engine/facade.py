@@ -1,15 +1,15 @@
 """The unified query-engine facade: compile -> cache -> execute -> metrics.
 
-:class:`Engine` is the single entry point that replaces the historical
-trio of ``compile_query`` / ``compile_swole`` / ``plan_query`` call
-sites. It owns the plan cache (keyed compilation artifacts, LRU) and
-the morsel executor (parallel scans + run metrics). Every query-taking
-method accepts a :class:`~repro.plan.ops.LogicalPlan` operator tree
-(the primary API — build one with :class:`repro.PlanBuilder` or look a
-TPC-H plan up via ``repro.tpch.logical_plan``), a legacy microbench
-:class:`~repro.plan.logical.Query`, or — deprecated — a TPC-H query
-name string (``"Q1"`` .. ``"Q19"``, a thin lookup into
-:mod:`repro.tpch.plans`).
+:class:`Engine` is the single entry point of the query engine. It owns
+the plan cache (keyed compilation artifacts, LRU) and the morsel
+executor (parallel scans + run metrics). Every query-taking method
+accepts a :class:`~repro.plan.ops.LogicalPlan` operator tree (build one
+with :class:`repro.PlanBuilder` or look a TPC-H plan up via
+``repro.tpch.logical_plan``) or a legacy microbench
+:class:`~repro.plan.logical.Query`, which the engine lifts onto its
+operator tree (:func:`~repro.plan.ops.from_query`) at the front door.
+Either way, every query compiles through the one staged pipeline
+(:func:`~repro.codegen.pipeline.compile_pipeline`).
 
 Usage::
 
@@ -25,9 +25,8 @@ Usage::
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import replace
-from typing import Optional, Union
+from typing import Optional
 
 from ..errors import ReproError
 from ..obs import MetricsRegistry, metrics_registry, span
@@ -42,6 +41,30 @@ from .session import ExecutionKnobs, Session
 #: ``strategy="auto"`` resolves to the paper's planner-driven strategy
 #: (SWOLE itself falls back to hybrid whenever a pullup would not pay).
 AUTO_STRATEGY = "swole"
+
+
+def as_plan(query):
+    """The operator tree the pipeline compiles for ``query``.
+
+    A :class:`~repro.plan.ops.LogicalPlan` passes through; a legacy
+    microbench :class:`~repro.plan.logical.Query` is lifted onto its
+    tree with :func:`~repro.plan.ops.from_query`. Anything else (a
+    query name string, say) is rejected with a
+    :class:`~repro.errors.ReproError`.
+    """
+    from ..plan.logical import Query
+    from ..plan.ops import LogicalPlan, from_query
+
+    if isinstance(query, LogicalPlan):
+        return query
+    if isinstance(query, Query):
+        return from_query(query)
+    raise ReproError(
+        f"cannot compile a {type(query).__name__}; pass a LogicalPlan "
+        "(repro.tpch.logical_plan(name), or build one with "
+        "repro.PlanBuilder) or a microbench Query"
+    )
+
 
 #: Execution backends a query can be compiled for. ``vectorized`` is
 #: the serving default (generated whole-column NumPy kernels);
@@ -129,9 +152,9 @@ class Engine:
         through the dataset cache (it carries the fingerprint workers
         map by); raises :class:`~repro.errors.ReproError` otherwise.
         Workers fork lazily on the first sharded query — call
-        :meth:`start_shards` to pre-fork (the server does). Queries
-        with no wire form, or scans below the fan-out floor, fall back
-        to the thread executor transparently.
+        :meth:`start_shards` to pre-fork (the server does). Programs
+        without a parallel plan, or scans below the fan-out floor,
+        fall back to the thread executor transparently.
 
     The engine is a context manager; ``with Engine(db) as engine:``
     shuts the pool down on exit, and an ``atexit`` hook covers engines
@@ -307,14 +330,14 @@ class Engine:
         """Compile ``query`` (cache-aware) and return the program.
 
         ``query`` is a :class:`~repro.plan.ops.LogicalPlan` operator
-        tree, a legacy microbench :class:`~repro.plan.logical.Query`,
-        or — deprecated — a TPC-H query name string. ``strategy`` is
-        any registered strategy name, or ``"auto"`` for the
-        planner-driven SWOLE strategy. ``backend`` overrides the
-        engine's default execution backend for this call.
+        tree or a legacy microbench :class:`~repro.plan.logical.Query`.
+        ``strategy`` is one of :data:`~repro.codegen.pipeline.
+        STRATEGIES`, or ``"auto"`` for the planner-driven SWOLE
+        strategy. ``backend`` overrides the engine's default execution
+        backend for this call.
         """
         compiled, _, _, _, _ = self._compile_cached(
-            query, strategy, backend
+            as_plan(query), strategy, backend
         )
         return compiled
 
@@ -327,27 +350,16 @@ class Engine:
         return resolved
 
     def _compile_cached(
-        self, query, strategy: str, backend: Optional[str] = None,
-        shards: int = 0,
+        self, plan, strategy: str, backend: Optional[str] = None
     ):
-        if isinstance(query, str):
-            warnings.warn(
-                "addressing queries by TPC-H name string is deprecated; "
-                "pass the operator tree instead — "
-                "repro.tpch.logical_plan(name), or build one with "
-                "repro.PlanBuilder",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         resolved = AUTO_STRATEGY if strategy == "auto" else strategy
         chosen = self._resolve_backend(backend)
         key = plan_key(
-            query,
+            plan,
             resolved,
             self.machine,
             self.tile,
             chosen,
-            shards,
             self._encoding_key,
         )
 
@@ -356,24 +368,22 @@ class Engine:
                 "compile", self.registry,
                 strategy=resolved, backend=chosen,
             ):
-                return self._compile(query, resolved, chosen)
+                return self._compile(plan, resolved, chosen)
 
         compiled, was_hit = self.plan_cache.get_or_compile(
             key, timed_compile
         )
         return compiled, was_hit, resolved, chosen, key
 
-    def _compile(
-        self, query, strategy: str, backend: str
-    ) -> CompiledQuery:
+    def _compile(self, plan, strategy: str, backend: str) -> CompiledQuery:
         overrides = None
         if self.adaptive is not None:
             from .plan_cache import query_fingerprint
 
             overrides = self.adaptive.override_for(
-                query_fingerprint(query)
+                query_fingerprint(plan)
             )
-        compiled = self._compile_with(query, strategy, backend, overrides)
+        compiled = self._compile_with(plan, strategy, backend, overrides)
         if overrides is not None:
             # The shard path ships the override a program was compiled
             # with to the worker processes, so they compile the *same*
@@ -382,64 +392,22 @@ class Engine:
         return compiled
 
     def _compile_with(
-        self, query, strategy: str, backend: str, overrides
+        self, plan, strategy: str, backend: str, overrides
     ) -> CompiledQuery:
-        from ..plan.ops import LogicalPlan
+        # Looked up at call time, so a rebinding of the pipeline entry
+        # point (tracing, profiling) sees every compilation.
+        from ..codegen.pipeline import compile_pipeline
 
-        if isinstance(query, str):
-            from ..tpch import compile_tpch
-
-            return compile_tpch(
-                query,
-                strategy,
-                self.db,
-                machine=self.machine,
-                registry=self.registry,
-                backend=backend,
-                overrides=overrides,
-                encoding=self.encoding,
-            )
-        if isinstance(query, LogicalPlan):
-            from ..codegen.pipeline import compile_pipeline
-
-            return compile_pipeline(
-                query,
-                self.db,
-                strategy,
-                machine=self.machine,
-                registry=self.registry,
-                backend=backend,
-                overrides=overrides,
-                encoding=self.encoding,
-            )
-        if backend == "vectorized" and strategy in (
-            "interpreter", "datacentric", "hybrid", "swole"
-        ):
-            # Legacy microbench Query objects have no hand-written
-            # vectorized programs; their operator-tree conversion
-            # compiles through the staged pipeline instead (results
-            # pinned byte-identical to the hand-coded programs by the
-            # backend equivalence sweep).
-            from ..codegen.pipeline import compile_pipeline
-            from ..plan.ops import from_query
-
-            return compile_pipeline(
-                from_query(query),
-                self.db,
-                strategy,
-                machine=self.machine,
-                registry=self.registry,
-                backend=backend,
-                overrides=overrides,
-                encoding=self.encoding,
-            )
-        if strategy == "swole":
-            from ..core.swole import compile_swole
-
-            return compile_swole(query, self.db, machine=self.machine)
-        from ..codegen.base import compile_query
-
-        return compile_query(query, self.db, strategy)
+        return compile_pipeline(
+            plan,
+            self.db,
+            strategy,
+            machine=self.machine,
+            registry=self.registry,
+            backend=backend,
+            overrides=overrides,
+            encoding=self.encoding,
+        )
 
     def explain(
         self, query, strategy: str = "auto", *,
@@ -449,24 +417,18 @@ class Engine:
 
         Shows the logical plan, every strategy pass with its cost-model
         estimates, the physical plan, and the execution backend the
-        compiled program runs on. Hand-coded programs (TPC-H queries
-        without an operator tree) have no staged rendering; their
-        emitted source is returned instead.
+        compiled program runs on. The generated program text itself is
+        on :attr:`CompiledQuery.source` (``Engine.compile``).
         """
-        compiled = self.compile(query, strategy, backend=backend)
-        explain = compiled.notes.get("explain")
-        if explain is not None:
-            chosen = compiled.notes.get("backend", "instrumented")
-            lines = [explain, "", "== Backend ==", chosen]
-            fallback = compiled.notes.get("backend_fallback")
-            if fallback:
-                lines.append(f"(fallback from vectorized: {fallback})")
-            lines.extend(self._explain_feedback(query, compiled))
-            return "\n".join(lines)
-        return (
-            f"// hand-coded {compiled.strategy} program for "
-            f"{compiled.name} (no staged lowering)\n" + compiled.source
-        )
+        plan = as_plan(query)
+        compiled = self.compile(plan, strategy, backend=backend)
+        chosen = compiled.notes.get("backend", "instrumented")
+        lines = [compiled.notes["explain"], "", "== Backend ==", chosen]
+        fallback = compiled.notes.get("backend_fallback")
+        if fallback:
+            lines.append(f"(fallback from vectorized: {fallback})")
+        lines.extend(self._explain_feedback(plan, compiled))
+        return "\n".join(lines)
 
     def _explain_feedback(self, query, compiled: CompiledQuery) -> list:
         """``== Feedback ==`` explain lines: estimated vs observed
@@ -487,7 +449,7 @@ class Engine:
 
     def execute(
         self,
-        query: Union[str, object],
+        query,
         strategy: str = "auto",
         *,
         workers: Optional[int] = None,
@@ -507,9 +469,9 @@ class Engine:
 
         ``shards`` overrides the engine's default shard-process count
         for this call (``0`` forces in-process execution). When the
-        effective count is ``>= 1`` and the query has a wire form, the
-        morsels scatter over the shard worker processes instead of the
-        thread pool; results remain byte-identical either way.
+        effective count is ``>= 1``, the morsels scatter over the shard
+        worker processes instead of the thread pool; results remain
+        byte-identical either way.
 
         ``deadline`` gives the run a relative budget in seconds;
         ``cancel`` threads an existing
@@ -527,24 +489,10 @@ class Engine:
                     "pass either deadline= or cancel=, not both"
                 )
             cancel = CancelToken.after(deadline)
+        plan = as_plan(query)
         n_shards = (
             shards if shards is not None else (self.knobs.shards or 0)
         )
-        spec = None
-        if n_shards >= 1:
-            from ..plan.logical import Query as _LegacyQuery
-            from ..plan.ops import from_query
-            from .shard import wire_spec_for
-
-            # Canonicalise legacy query objects to their operator tree
-            # *before* compiling: the workers compile from the wire
-            # form (a tree), and parent and workers must compile the
-            # same program for partial shapes — and answers — to agree.
-            if isinstance(query, _LegacyQuery):
-                query = from_query(query)
-            spec = wire_spec_for(query)
-            if spec is None:
-                n_shards = 0  # no wire form: in-process fallback
         if strategy == "auto" and self.adaptive is not None:
             # Adaptive routing: auto means "the measured-best arm",
             # with deterministic periodic exploration keeping every
@@ -555,17 +503,17 @@ class Engine:
             from .plan_cache import query_fingerprint
 
             strategy, backend = self.adaptive.choose(
-                query_fingerprint(query), self._resolve_backend(backend)
+                query_fingerprint(plan), self._resolve_backend(backend)
             )
         compiled, was_hit, resolved, chosen, key = self._compile_cached(
-            query, strategy, backend, shards=n_shards
+            plan, strategy, backend
         )
         n_workers = workers if workers is not None else self.workers
         if session is None:
             session = self.session(workers=n_workers)
         result = None
-        if n_shards >= 1 and spec is not None:
-            from .shard import ShardExecutor
+        if n_shards >= 1:
+            from .shard import ShardExecutor, wire_spec_for
 
             group = self._ensure_shard_group(n_shards)
             result = ShardExecutor(
@@ -573,7 +521,7 @@ class Engine:
             ).execute(
                 compiled,
                 session,
-                spec=spec,
+                spec=wire_spec_for(plan),
                 strategy=resolved,
                 backend=chosen,
                 encoding=self.encoding,

@@ -39,22 +39,18 @@ _FINGERPRINT_MEMO_CAP = 1024
 def query_fingerprint(query) -> str:
     """Stable fingerprint of whatever the engine can compile.
 
-    Everything that reaches the staged lowering pipeline fingerprints by
-    its operator tree (``ir:`` prefix), so two spellings of the same
-    tree share one cache entry: :class:`~repro.plan.ops.LogicalPlan`
-    objects directly, legacy :class:`~repro.plan.logical.Query` objects
-    via :func:`~repro.plan.ops.from_query`, and migrated TPC-H names via
-    their registered plan. Hand-coded TPC-H programs that have no tree
-    yet stay addressed by name (``tpch:`` prefix).
+    Everything fingerprints by its operator tree (``ir:`` prefix), so
+    two spellings of the same tree share one cache entry:
+    :class:`~repro.plan.ops.LogicalPlan` objects directly, legacy
+    :class:`~repro.plan.logical.Query` objects via
+    :func:`~repro.plan.ops.from_query`.
 
     Memoized per query *object*: the fingerprint is recomputed on every
     ``Engine.execute`` for the plan key, and walking the operator tree
     is a measurable per-request cost for sub-millisecond queries. Query
-    objects are immutable (frozen dataclasses / strings), so identity
-    implies an unchanged fingerprint.
+    objects are immutable (frozen dataclasses), so identity implies an
+    unchanged fingerprint.
     """
-    if isinstance(query, str):
-        return _name_fingerprint(query)
     memo_key = id(query)
     hit = _FINGERPRINT_MEMO.get(memo_key)
     if hit is not None and hit[0] is query:
@@ -64,17 +60,6 @@ def query_fingerprint(query) -> str:
         _FINGERPRINT_MEMO.clear()
     _FINGERPRINT_MEMO[memo_key] = (query, fingerprint)
     return fingerprint
-
-
-@lru_cache(maxsize=128)
-def _name_fingerprint(name: str) -> str:
-    from ..tpch.plans import PIPELINE_QUERIES, logical_plan
-
-    if name in PIPELINE_QUERIES:
-        from ..plan.ops import plan_fingerprint
-
-        return plan_fingerprint(logical_plan(name))
-    return f"tpch:{name}"
 
 
 def _object_fingerprint(query) -> str:
@@ -107,23 +92,18 @@ def plan_key(
     machine: MachineModel,
     tile: int,
     backend: str = "instrumented",
-    shards: int = 0,
     encoding: str = "auto",
-) -> Tuple[str, str, str, int, str, int, str]:
+) -> Tuple[str, str, str, int, str, str]:
     """The full cache key of one compilation.
 
     The backend is part of the key: a kernel generated for the
     vectorized backend must never be served to a request that asked
-    for the instrumented (costed) one, or vice versa. The shard count
-    is too (``0`` = in-process): the shard path canonicalises legacy
-    query objects to their operator tree before compiling — so parent
-    and worker processes compile the *same* program — while the
-    in-process path may compile a hand-coded module whose ctx/partial
-    shapes differ; the two must never share an entry. So is the
+    for the instrumented (costed) one, or vice versa. So is the
     access-encoding decision (the caller resolves ``"auto"`` to
     ``"auto:<database encoding fingerprint>"``): a program compiled
     over code streams closes over different physical arrays than one
-    compiled over decoded values.
+    compiled over decoded values. In-process and sharded runs share
+    entries: both execute the program compiled from the same tree.
     """
     return (
         query_fingerprint(query),
@@ -131,7 +111,6 @@ def plan_key(
         machine_fingerprint(machine),
         tile,
         backend,
-        shards,
         encoding,
     )
 

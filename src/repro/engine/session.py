@@ -14,8 +14,8 @@ class ExecutionKnobs:
 
     ht_prefetch:
         Hash-table kernels mark their random accesses as
-        software-prefetched (set by the ROF strategy for the duration of
-        its programs).
+        software-prefetched (ROF-style staging-point prefetches, paper
+        §II-A3), hiding part of their latency.
     morsel_rows:
         Row-range size of one morsel for the parallel executor. ``None``
         lets the executor pick a size from the scan length and worker

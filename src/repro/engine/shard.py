@@ -238,21 +238,13 @@ def observation_from_tallies(tallies: Dict[str, Any], metrics):
 # -- task specs ----------------------------------------------------------
 
 
-def wire_spec_for(query) -> Optional[Dict[str, Any]]:
-    """The compile spec a worker receives: a TPC-H name or a logical
-    plan envelope. Returns ``None`` for queries with no wire form (the
-    shard path then falls back to the thread executor)."""
-    if isinstance(query, str):
-        return {"kind": "name", "name": query}
-    from ..plan.logical import Query
-    from ..plan.ops import LogicalPlan, from_query
+def wire_spec_for(plan) -> Dict[str, Any]:
+    """The compile spec a worker receives: the logical plan envelope
+    the parent compiled (workers compile the same tree, so parent and
+    workers agree on partial shapes and answers)."""
     from ..plan.serde import plan_to_wire
 
-    if isinstance(query, Query):
-        query = from_query(query)
-    if isinstance(query, LogicalPlan):
-        return {"kind": "plan", "plan": plan_to_wire(query)}
-    return None
+    return {"kind": "plan", "plan": plan_to_wire(plan)}
 
 
 def override_to_wire(override) -> Optional[Dict[str, Any]]:

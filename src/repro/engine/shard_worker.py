@@ -118,25 +118,16 @@ class _Worker:
         backend = msg["backend"]
         encoding = msg.get("encoding", "auto")
         overrides = override_from_wire(msg.get("override"))
-        if spec["kind"] == "name":
-            from ..tpch.base import compile_tpch
-
-            compiled = compile_tpch(
-                spec["name"], strategy, self.db,
-                machine=self.machine, backend=backend,
-                overrides=overrides, encoding=encoding,
-            )
-        elif spec["kind"] == "plan":
-            from ..codegen.pipeline import compile_pipeline
-            from ..plan.serde import plan_from_wire
-
-            compiled = compile_pipeline(
-                plan_from_wire(spec["plan"]), self.db, strategy,
-                machine=self.machine, backend=backend,
-                overrides=overrides, encoding=encoding,
-            )
-        else:
+        if spec["kind"] != "plan":
             raise ValueError(f"unknown spec kind {spec['kind']!r}")
+        from ..codegen.pipeline import compile_pipeline
+        from ..plan.serde import plan_from_wire
+
+        compiled = compile_pipeline(
+            plan_from_wire(spec["plan"]), self.db, strategy,
+            machine=self.machine, backend=backend,
+            overrides=overrides, encoding=encoding,
+        )
         ctx = None
         if compiled.parallel is not None and compiled.parallel.setup:
             setup_session = self._session(msg)

@@ -8,8 +8,9 @@ The generic path covers the query shapes of the paper's microbenchmark
   *semijoin* (no build attributes survive the join — µQ4) or a
   *groupjoin* (join key doubles as the group-by key — µQ5).
 
-TPC-H's more intricate plans are hand-coded per strategy under
-:mod:`repro.tpch`, mirroring how the paper hand-coded C for each.
+:func:`~repro.plan.ops.from_query` lifts a query onto the operator-tree
+IR (:mod:`repro.plan.ops`), which also expresses TPC-H's multi-join
+plans; the engine compiles everything from that tree.
 """
 
 from __future__ import annotations

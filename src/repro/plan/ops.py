@@ -408,10 +408,9 @@ def plan_fingerprint(plan: Union[LogicalPlan, PlanNode]) -> str:
 
     Frozen dataclasses have deterministic ``repr``s, so hashing the repr
     is a faithful structural digest. This is the plan-cache key for
-    every query that reaches the staged pipeline (hand-coded TPC-H
-    names resolve to their logical plan first, legacy ``Query`` objects
-    convert via :func:`from_query`), so two spellings of the same tree
-    share one cache entry.
+    every query that reaches the staged pipeline (legacy ``Query``
+    objects convert via :func:`from_query`), so two spellings of the
+    same tree share one cache entry.
     """
     digest = hashlib.sha256(repr(plan).encode()).hexdigest()[:16]
     return f"ir:{digest}"

@@ -1217,7 +1217,7 @@ def run_passes(
     ``encoding`` controls the access-encoding pass: ``"auto"`` chooses
     compressed vs decoded scans per referenced column by cost,
     ``"off"`` serves every scan decoded (the pre-compression access
-    path, kept for apples-to-apples oracle comparison).
+    path the paper measures; the figure sweeps run with it).
 
     Returns the bound plan, the lowering decisions, and the pass notes.
     """

@@ -7,14 +7,13 @@ the TCP server (:mod:`repro.server.tcp`) carries the same objects as
 newline-delimited JSON (one object per line, one response per request,
 in order).
 
-A request carries its query in one of four spellings:
+A request carries its query in one of three spellings:
 
 * a logical plan envelope (``{"plan": {...}, "fingerprint": "ir:..."}``
   — the structural JSON of :mod:`repro.plan.serde`, the primary form;
   :class:`QueryRequest` serialises a
-  :class:`~repro.plan.ops.LogicalPlan` this way automatically);
-* a TPC-H query name (``"Q1"`` .. ``"Q19"`` — a thin lookup into
-  :mod:`repro.tpch.plans`; deprecated in favour of sending the plan);
+  :class:`~repro.plan.ops.LogicalPlan` this way automatically; send
+  ``repro.tpch.logical_plan(name)`` for a TPC-H query);
 * a microbenchmark spec (``{"micro": "q1", "args": {"sel": 30}}`` —
   the constructors in :mod:`repro.datagen.microbench`);
 * in-process only: a legacy :class:`~repro.plan.logical.Query` object.
@@ -87,13 +86,11 @@ def parse_query_spec(spec: Any) -> Any:
 
     ``{"plan": {...}}`` envelopes decode to a
     :class:`~repro.plan.ops.LogicalPlan` (fingerprint-verified);
-    strings pass through (TPC-H names); ``{"micro": name, "args":
-    {...}}`` dicts call the named microbenchmark constructor;
-    ``LogicalPlan`` / legacy ``Query`` objects (in-process requests)
-    pass through untouched.
+    ``{"micro": name, "args": {...}}`` dicts call the named
+    microbenchmark constructor; ``LogicalPlan`` / legacy ``Query``
+    objects (in-process requests) pass through untouched. Anything else
+    (a query name string, say) is rejected.
     """
-    if isinstance(spec, str):
-        return spec
     if isinstance(spec, dict):
         if "plan" in spec:
             from ..errors import PlanError
@@ -133,7 +130,10 @@ def parse_query_spec(spec: Any) -> Any:
     if isinstance(spec, (LogicalPlan, Query)):
         return spec
     raise ProtocolError(
-        f"unsupported query spec of type {type(spec).__name__}"
+        f"unsupported query spec of type {type(spec).__name__}; send a "
+        "plan envelope (a LogicalPlan such as "
+        "repro.tpch.logical_plan(name) serialises to one) or a "
+        "microbench spec dict"
     )
 
 
@@ -180,11 +180,10 @@ class QueryRequest:
             from ..plan.serde import plan_to_wire
 
             query = plan_to_wire(query)
-        elif not isinstance(query, (str, dict)):
+        elif not isinstance(query, dict):
             raise ProtocolError(
-                "only LogicalPlan trees, TPC-H names, and microbench "
-                "spec dicts serialise; legacy Query objects are "
-                "in-process only"
+                "only LogicalPlan trees and microbench spec dicts "
+                "serialise; legacy Query objects are in-process only"
             )
         wire: dict = {"id": self.id, "query": query}
         if self.strategy != "auto":

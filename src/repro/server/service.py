@@ -50,7 +50,7 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cancellation import CancelToken
@@ -344,8 +344,8 @@ class QueryService:
         """Admit (or immediately reject) one request.
 
         ``request`` is a :class:`QueryRequest`, or anything
-        ``Engine.execute`` accepts (a TPC-H name, a wire spec dict, a
-        logical ``Query``) which is wrapped in a default request.
+        ``Engine.execute`` accepts (a ``LogicalPlan``, a wire spec dict,
+        a legacy ``Query``) which is wrapped in a default request.
         Always returns a :class:`PendingQuery`; rejections resolve
         before this method returns.
         """
@@ -427,14 +427,11 @@ class QueryService:
         ``None`` when the spec is not wire-form (an in-process ``Query``
         object has no cheap, reliable equality)."""
         spec = request.query
-        if isinstance(spec, str):
-            spec_key: Tuple = ("s", spec)
-        elif isinstance(spec, dict):
-            try:
-                spec_key = ("d", json.dumps(spec, sort_keys=True))
-            except (TypeError, ValueError):
-                return None
-        else:
+        if not isinstance(spec, dict):
+            return None
+        try:
+            spec_key = json.dumps(spec, sort_keys=True)
+        except (TypeError, ValueError):
             return None
         return (
             spec_key,

@@ -54,7 +54,7 @@ class Table:
         """Return the column called ``name``.
 
         Raises :class:`SchemaError` for unknown names so that typos in
-        hand-coded query programs fail loudly.
+        query plans fail loudly.
         """
         for col in self.columns:
             if col.name == name:

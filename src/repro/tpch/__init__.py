@@ -1,21 +1,14 @@
-"""TPC-H query programs (the paper's eight-query subset).
+"""TPC-H: the paper's eight-query subset.
 
-Queries with logical operator trees (:mod:`repro.tpch.plans`) compile
-through the generic staged lowering pipeline; the hand-coded per-query
-strategy modules remain as equivalence oracles
-(:func:`~repro.tpch.base.oracle_tpch`) and as the compilers for the
-not-yet-migrated queries.
+Each query is a logical operator tree (:mod:`repro.tpch.plans`, look one
+up with :func:`logical_plan`) that compiles through the staged pipeline
+like any other plan; each ``qXX`` module keeps the query's plain-NumPy
+answer oracle (:func:`reference_result`).
 """
 
 from . import base
 from . import q01, q03, q04, q05, q06, q13, q14, q19
-from .base import (
-    STRATEGIES,
-    compile_tpch,
-    oracle_tpch,
-    query_names,
-    reference_result,
-)
+from .base import STRATEGIES, query_names, reference_result
 from .plans import PIPELINE_QUERIES, logical_plan
 
 for _module in (q01, q03, q04, q05, q06, q13, q14, q19):
@@ -24,9 +17,7 @@ for _module in (q01, q03, q04, q05, q06, q13, q14, q19):
 __all__ = [
     "PIPELINE_QUERIES",
     "STRATEGIES",
-    "compile_tpch",
     "logical_plan",
-    "oracle_tpch",
     "query_names",
     "reference_result",
 ]

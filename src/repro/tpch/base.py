@@ -1,34 +1,33 @@
-"""Shared scaffolding for the hand-coded TPC-H query programs.
+"""Shared scaffolding for the TPC-H answer oracles.
 
-The paper hand-coded each strategy in C "to eliminate any overheads from
-tangential implementation differences"; these modules do the same in
-kernel compositions. Every query module exposes:
-
-* ``reference(db)`` — plain-NumPy ground truth;
-* ``datacentric(db)`` / ``hybrid(db)`` / ``swole(db)`` — one
-  :class:`~repro.engine.program.CompiledQuery` per strategy.
-
-:func:`compile_tpch` resolves (query, strategy) pairs, adding the
-``interpreter`` sanity baseline (data-centric access patterns plus
-Volcano per-tuple dispatch) for every query.
+Every query module (``q01.py`` .. ``q19.py``) exposes ``reference(db)``:
+a plain-NumPy ground truth, written directly against the columns with
+no code shared with the compiler. The queries themselves compile from
+their logical operator trees (:mod:`repro.tpch.plans`) through the
+staged pipeline; :func:`reference_result` is the answer they must
+match.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 import numpy as np
 
-from ..engine import kernels as K
-from ..engine.program import CompiledQuery, ParallelPlan
-from ..engine.session import Session
-from ..errors import CodegenError
+from ..codegen.pipeline import STRATEGIES
 from ..storage.database import Database
 
 #: Filled by the query modules at import time: name -> module.
 QUERY_MODULES: Dict[str, Any] = {}
 
-STRATEGIES = ("interpreter", "datacentric", "hybrid", "swole")
+__all__ = [
+    "QUERY_MODULES",
+    "STRATEGIES",
+    "grouped",
+    "query_names",
+    "reference_result",
+    "register_query",
+]
 
 
 def register_query(name: str, module: Any) -> None:
@@ -37,130 +36,6 @@ def register_query(name: str, module: Any) -> None:
 
 def query_names() -> List[str]:
     return sorted(QUERY_MODULES, key=lambda name: int(name[1:]))
-
-
-def compile_tpch(
-    name: str,
-    strategy: str,
-    db: Database,
-    machine=None,
-    registry=None,
-    backend: str = "instrumented",
-    overrides=None,
-    encoding: str = "auto",
-) -> CompiledQuery:
-    """Compile TPC-H query ``name`` under ``strategy`` against ``db``.
-
-    Queries with a logical operator tree (:data:`~repro.tpch.plans.
-    PIPELINE_QUERIES`) go through the generic staged lowering pipeline;
-    the rest still use their hand-coded strategy modules. ``machine``,
-    ``registry``, ``backend``, ``overrides`` (a measured-statistics
-    :class:`~repro.engine.costing.StatsOverride` from the adaptive
-    re-optimizer), and ``encoding`` (the ``"auto"``/``"off"``
-    access-encoding knob) only affect the pipeline path (cost-model
-    decisions, compile-stage spans, and the execution layer the program
-    runs on); hand-coded programs are always instrumented and always
-    read decoded values.
-    """
-    try:
-        module = QUERY_MODULES[name]
-    except KeyError as exc:
-        raise CodegenError(
-            f"unknown TPC-H query {name!r}; have {query_names()}"
-        ) from exc
-    if strategy not in STRATEGIES:
-        raise CodegenError(
-            f"unknown strategy {strategy!r}; have {list(STRATEGIES)}"
-        )
-    from . import plans
-    if name in plans.PIPELINE_QUERIES:
-        from ..codegen.pipeline import compile_pipeline
-
-        return compile_pipeline(
-            plans.logical_plan(name),
-            db,
-            strategy,
-            machine=machine,
-            registry=registry,
-            backend=backend,
-            overrides=overrides,
-            encoding=encoding,
-        )
-    return oracle_tpch(name, strategy, db)
-
-
-def oracle_tpch(name: str, strategy: str, db: Database) -> CompiledQuery:
-    """Compile the hand-coded strategy program for ``name``.
-
-    This is the pre-pipeline compiler, kept as the equivalence oracle:
-    tests compare the staged pipeline's answers and costs against these
-    curated kernel compositions.
-    """
-    try:
-        module = QUERY_MODULES[name]
-    except KeyError as exc:
-        raise CodegenError(
-            f"unknown TPC-H query {name!r}; have {query_names()}"
-        ) from exc
-    if strategy == "interpreter":
-        return _interpreter(name, module, db)
-    try:
-        compiler = getattr(module, strategy)
-    except AttributeError as exc:
-        raise CodegenError(
-            f"{name} has no strategy {strategy!r}"
-        ) from exc
-    return compiler(db)
-
-
-def _interpreter(name: str, module: Any, db: Database) -> CompiledQuery:
-    """Volcano baseline: data-centric program + per-tuple iterator cost."""
-    inner = module.datacentric(db)
-    touched = getattr(module, "TABLES", ("lineitem",))
-
-    def run(session: Session) -> Dict[str, Any]:
-        for table in touched:
-            K.interpreter_overhead(session, db.table(table).num_rows, 2)
-        return inner._fn(session)
-
-    return CompiledQuery(
-        name=name,
-        strategy="interpreter",
-        source=f"// Volcano iterator plan for {name}\n" + inner.source,
-        _fn=run,
-    )
-
-
-def make(
-    name: str,
-    strategy: str,
-    source: str,
-    fn: Callable[[Session], Dict],
-    parallel: ParallelPlan = None,
-) -> CompiledQuery:
-    return CompiledQuery(
-        name=name, strategy=strategy, source=source, _fn=fn, parallel=parallel
-    )
-
-
-def scan_plan(
-    cols: Dict[str, np.ndarray],
-    run_view: Callable[[Session, Dict[str, np.ndarray]], Dict],
-    table: str = "lineitem",
-) -> ParallelPlan:
-    """Parallel plan for a single-table scan query.
-
-    ``run_view`` is the query's pipeline body parameterised by the
-    scanned columns; each morsel runs it over a row-range slice and the
-    executor merges the partial aggregates.
-    """
-    n_rows = int(next(iter(cols.values())).shape[0])
-
-    def partial(session: Session, ctx, lo: int, hi: int) -> Dict:
-        view = {name: values[lo:hi] for name, values in cols.items()}
-        return run_view(session, view)
-
-    return ParallelPlan(table=table, n_rows=n_rows, partial=partial)
 
 
 def reference_result(name: str, db: Database) -> Dict[str, Any]:

@@ -4,9 +4,9 @@ These are the IR inputs to the staged lowering pipeline
 (:func:`repro.codegen.pipeline.compile_pipeline`): database-independent
 trees using placeholder dictionary predicates (``DictEq`` /
 ``DictPrefix``) that the binding pass resolves against a concrete
-database. The hand-coded strategy modules (``q01.py`` etc.) remain as
-equivalence oracles — :func:`repro.tpch.base.oracle_tpch` compiles them
-directly, and the test suite asserts byte-identical answers.
+database. The plain-NumPy oracles (``q01.py`` etc.,
+:func:`repro.tpch.base.reference_result`) give the answers every
+compiled program must match byte for byte.
 
 Aggregate fixed-point conventions match the oracles: prices in cents,
 discounts/taxes in percent points, products carrying the scale factors
@@ -47,8 +47,7 @@ from ..plan.ops import (
     Scan,
 )
 
-#: Queries compiled through the generic staged pipeline (the remaining
-#: queries still go through their hand-coded strategy modules).
+#: The paper's TPC-H queries, each a logical operator tree below.
 PIPELINE_QUERIES = ("Q1", "Q3", "Q4", "Q5", "Q6", "Q13", "Q14", "Q19")
 
 Q1_CUTOFF = 10471  # 1998-12-01 minus 90 days, days since 1970-01-01

@@ -17,42 +17,12 @@ from typing import Any, Dict
 
 import numpy as np
 
-from ..engine import kernels as K
-from ..engine.events import Branch, Compute, RandomAccess, SeqRead, SeqWrite
-from ..engine.hashtable import HashTable
-from ..engine.session import Session
 from ..storage.database import Database
 from . import base
 from ..datagen.tpch import DATE_1995_03_15
 
 NAME = "Q3"
-TABLES = ("customer", "orders", "lineitem")
 SEGMENT = "BUILDING"
-
-_SOURCE_DC = """\
-// Q3 data-centric: two chained hash joins, per-tuple branches
-for (i = 0; i < customer; i++)
-    if (c_mktsegment[i] == BUILDING) ht_insert(cust, c_custkey[i]);
-for (i = 0; i < orders; i++)
-    if (o_orderdate[i] < d && ht_contains(cust, o_custkey[i]))
-        ht_insert(ord, o_orderkey[i]);
-for (i = 0; i < lineitem; i++)
-    if (l_shipdate[i] > d && (e = ht_find(ord, l_orderkey[i])))
-        e->revenue += l_extendedprice[i] * (100 - l_discount[i]);"""
-
-_SOURCE_HY = """\
-// Q3 hybrid: prepass + selection vectors feeding the same hash joins
-/* per pipeline: SIMD cmp loop; no-branch selvec; gather; ht op */"""
-
-_SOURCE_SW = """\
-// Q3 SWOLE: positional bitmap for customer |X| orders, groupjoin kept
-for (i = 0; i < customer; i++)            // sequential bitmap build
-    bitmap_set(bm, i, c_mktsegment[i] == BUILDING);
-for (i = 0; i < orders; i++) {            // probe via o_custkey FK index
-    pass = (o_orderdate[i] < d) & bitmap_test(bm, cust_offset[i]);
-    if (pass) ht_insert(ord, o_orderkey[i]);     // selvec insert
-}
-/* lineitem pipeline unchanged (cost model keeps the groupjoin) */"""
 
 
 def _data(db: Database) -> Dict[str, Dict[str, np.ndarray]]:
@@ -103,194 +73,3 @@ def reference(db: Database) -> Dict[str, Any]:
     return base.grouped(unique, aggs)
 
 
-def _lineitem_tail(
-    session: Session,
-    db: Database,
-    table: HashTable,
-    data: Dict[str, Dict[str, np.ndarray]],
-    branching: bool,
-) -> Dict[str, Any]:
-    """Shared lineitem pipeline: filter by shipdate, probe orders table,
-    scatter-add revenue. ``branching`` selects data-centric's per-tuple
-    ifs vs. the prepass/selection-vector form."""
-    line = data["lineitem"]
-    n = int(line["shipdate"].shape[0])
-    with session.tracer.kernel("probe lineitem"), session.tracer.overlap():
-        if branching:
-            K.seq_read(session, line["shipdate"], "l_shipdate")
-            session.tracer.emit(Compute(n=n, op="cmp", simd=False))
-            mask = line["shipdate"] > DATE_1995_03_15
-            session.tracer.emit(
-                Branch(n=n, taken_fraction=float(mask.mean()), site="shipdate")
-            )
-            K.scalar_loop(session, n)
-            K.conditional_read(session, line["orderkey"], mask, "l_orderkey")
-        else:
-            mask = K.compare(
-                session, line["shipdate"], ">", DATE_1995_03_15, "l_shipdate"
-            )
-            idx = K.selection_vector(session, mask)
-            K.gather(session, line["orderkey"], idx, "l_orderkey")
-        keys = line["orderkey"][mask].astype(np.int64)
-        slots, found = K.ht_lookup(session, table, keys)
-        if branching:
-            session.tracer.emit(
-                Branch(
-                    n=int(mask.sum()),
-                    taken_fraction=float(found.mean()) if found.size else 0.0,
-                    site="join",
-                )
-            )
-        else:
-            session.tracer.emit(
-                Compute(n=int(found.shape[0]), op="select", simd=False)
-            )
-        match = mask.copy()
-        match[mask] = found
-        k = int(match.sum())
-        if branching:
-            K.conditional_read(session, line["price"], match, "l_extendedprice")
-            K.conditional_read(session, line["disc"], match, "l_discount")
-        else:
-            midx = np.flatnonzero(match)
-            K.gather(session, line["price"], midx, "l_extendedprice")
-            K.gather(session, line["disc"], midx, "l_discount")
-        for op in ("sub", "mul"):
-            session.tracer.emit(Compute(n=k, op=op, simd=False))
-        revenue = line["price"][match].astype(np.int64) * (
-            100 - line["disc"][match].astype(np.int64)
-        )
-        K.ht_add_at(session, table, slots[found], 0, revenue)
-        K.ht_add_at(
-            session, table, slots[found], 1, np.ones(k, dtype=np.int64)
-        )
-    keys_out, aggs = table.items()
-    touched = aggs[:, 1] > 0
-    return base.grouped(keys_out[touched], aggs[touched, :1])
-
-
-def datacentric(db: Database):
-    data = _data(db)
-    seg = _segment_code(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        cust = data["customer"]
-        nc = int(cust["custkey"].shape[0])
-        with session.tracer.kernel("build customer"), session.tracer.overlap():
-            K.seq_read(session, cust["segment"], "c_mktsegment")
-            session.tracer.emit(Compute(n=nc, op="cmp", simd=False))
-            cmask = cust["segment"] == seg
-            session.tracer.emit(
-                Branch(n=nc, taken_fraction=float(cmask.mean()), site="segment")
-            )
-            K.scalar_loop(session, nc)
-            K.conditional_read(session, cust["custkey"], cmask, "c_custkey")
-            cust_table = HashTable(expected_keys=int(cmask.sum()), num_aggs=0)
-            K.ht_insert_keys(
-                session, cust_table, cust["custkey"][cmask].astype(np.int64)
-            )
-        orders = data["orders"]
-        no = int(orders["date"].shape[0])
-        with session.tracer.kernel("build orders"), session.tracer.overlap():
-            K.seq_read(session, orders["date"], "o_orderdate")
-            session.tracer.emit(Compute(n=no, op="cmp", simd=False))
-            dmask = orders["date"] < DATE_1995_03_15
-            session.tracer.emit(
-                Branch(n=no, taken_fraction=float(dmask.mean()), site="date")
-            )
-            K.scalar_loop(session, no)
-            K.conditional_read(session, orders["custkey"], dmask, "o_custkey")
-            _, found = K.ht_lookup(
-                session, cust_table, orders["custkey"][dmask].astype(np.int64)
-            )
-            session.tracer.emit(
-                Branch(
-                    n=int(dmask.sum()),
-                    taken_fraction=float(found.mean()) if found.size else 0.0,
-                    site="cust-join",
-                )
-            )
-            omask = dmask.copy()
-            omask[dmask] = found
-            K.conditional_read(session, orders["orderkey"], omask, "o_orderkey")
-            order_table = HashTable(expected_keys=int(omask.sum()), num_aggs=2)
-            K.ht_insert_keys(
-                session, order_table, orders["orderkey"][omask].astype(np.int64)
-            )
-        return _lineitem_tail(session, db, order_table, data, branching=True)
-
-    return base.make(NAME, "datacentric", _SOURCE_DC, run)
-
-
-def hybrid(db: Database):
-    data = _data(db)
-    seg = _segment_code(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        cust = data["customer"]
-        with session.tracer.kernel("build customer"), session.tracer.overlap():
-            cmask = K.compare(session, cust["segment"], "==", seg, "c_mktsegment")
-            idx = K.selection_vector(session, cmask)
-            keys = K.gather(session, cust["custkey"], idx, "c_custkey")
-            cust_table = HashTable(expected_keys=int(cmask.sum()), num_aggs=0)
-            K.ht_insert_keys(session, cust_table, keys.astype(np.int64))
-        orders = data["orders"]
-        with session.tracer.kernel("build orders"), session.tracer.overlap():
-            dmask = K.compare(
-                session, orders["date"], "<", DATE_1995_03_15, "o_orderdate"
-            )
-            idx = K.selection_vector(session, dmask)
-            ckeys = K.gather(session, orders["custkey"], idx, "o_custkey")
-            _, found = K.ht_lookup(session, cust_table, ckeys.astype(np.int64))
-            session.tracer.emit(
-                Compute(n=int(found.shape[0]), op="select", simd=False)
-            )
-            omask = dmask.copy()
-            omask[dmask] = found
-            oidx = np.flatnonzero(omask)
-            okeys = K.gather(session, orders["orderkey"], oidx, "o_orderkey")
-            order_table = HashTable(expected_keys=int(omask.sum()), num_aggs=2)
-            K.ht_insert_keys(session, order_table, okeys.astype(np.int64))
-        return _lineitem_tail(session, db, order_table, data, branching=False)
-
-    return base.make(NAME, "hybrid", _SOURCE_HY, run)
-
-
-def swole(db: Database):
-    data = _data(db)
-    seg = _segment_code(db)
-    cust_offsets = db.fk_index("orders", "o_custkey").offsets
-
-    def run(session: Session) -> Dict[str, Any]:
-        cust = data["customer"]
-        nc = int(cust["custkey"].shape[0])
-        with session.tracer.kernel("bitmap build customer"), \
-                session.tracer.overlap():
-            cmask = K.compare(session, cust["segment"], "==", seg, "c_mktsegment")
-            session.tracer.emit(
-                SeqWrite(n=max(nc // 8, 1), width=1, array="bitmap")
-            )
-        orders = data["orders"]
-        no = int(orders["date"].shape[0])
-        with session.tracer.kernel("build orders"), session.tracer.overlap():
-            dmask = K.compare(
-                session, orders["date"], "<", DATE_1995_03_15, "o_orderdate"
-            )
-            # probe the customer bitmap through the o_custkey FK index
-            session.tracer.emit(
-                SeqRead(n=no, width=8, array="fkindex(o_custkey)")
-            )
-            session.tracer.emit(
-                RandomAccess(
-                    n=no, struct_bytes=max(nc // 8, 1), kind="bitmap_test"
-                )
-            )
-            session.tracer.emit(Compute(n=no, op="and", simd=True, width=1))
-            omask = dmask & cmask[cust_offsets]
-            idx = K.selection_vector(session, omask)
-            okeys = K.gather(session, orders["orderkey"], idx, "o_orderkey")
-            order_table = HashTable(expected_keys=int(omask.sum()), num_aggs=2)
-            K.ht_insert_keys(session, order_table, okeys.astype(np.int64))
-        return _lineitem_tail(session, db, order_table, data, branching=False)
-
-    return base.make(NAME, "swole", _SOURCE_SW, run)

@@ -18,42 +18,12 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from ..engine import kernels as K
-from ..engine.events import Branch, Compute, SeqRead, SeqWrite
-from ..engine.hashtable import NULL_KEY, HashTable
-from ..engine.session import Session
 from ..storage.database import Database
 from . import base
 
 NAME = "Q4"
-TABLES = ("orders", "lineitem")
 DATE_LO = 8582  # 1993-07-01
 DATE_HI = 8674  # 1993-10-01
-NUM_PRIORITIES = 5
-
-_SOURCE_DC = """\
-// Q4 data-centric: hash semijoin
-for (i = 0; i < lineitem; i++)
-    if (l_commitdate[i] < l_receiptdate[i]) ht_insert(ht, l_orderkey[i]);
-for (i = 0; i < orders; i++)
-    if (o_orderdate[i] >= d1 && o_orderdate[i] < d2)
-        if (ht_contains(ht, o_orderkey[i]))
-            counts[o_orderpriority[i]] += 1;"""
-
-_SOURCE_HY = """\
-// Q4 hybrid: prepass + selection vectors on both sides, hash semijoin
-/* lineitem: cmp[j] = l_commitdate < l_receiptdate; idx; ht_insert */
-/* orders:   cmp[j] = date in quarter; idx; ht probe; count */"""
-
-_SOURCE_SW = """\
-// Q4 SWOLE: positional bitmap semijoin
-for (i = 0; i < lineitem; i++)            // clustered by orderkey:
-    bm[fk_offset[i]] |= l_commitdate[i] < l_receiptdate[i];  // seq write
-for (i = 0; i < orders; i++) {            // bit i <-> order row i
-    pass = (o_orderdate[i] >= d1) & (o_orderdate[i] < d2) & bm[i];
-    key[i] = pass ? o_orderpriority[i] : NULL_KEY;   // key masking
-    ht_find(ht, key[i])->count += 1;
-}"""
 
 
 def _data(db: Database) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
@@ -92,157 +62,3 @@ def reference(db: Database) -> Dict[str, Any]:
     return base.grouped(unique, counts.astype(np.int64))
 
 
-def _count_selected(
-    session: Session,
-    orders: Dict[str, np.ndarray],
-    mask: np.ndarray,
-    conditional: bool,
-) -> Dict[str, Any]:
-    """Count qualifying orders per priority (pushdown tail)."""
-    k = int(mask.sum())
-    if conditional:
-        K.conditional_read(session, orders["prio"], mask, "o_orderpriority")
-    keys = orders["prio"][mask].astype(np.int64)
-    table = HashTable(expected_keys=NUM_PRIORITIES, num_aggs=1)
-    K.ht_aggregate(session, table, keys, np.ones(k, dtype=np.int64))
-    return base.grouped(*table.items())
-
-
-def datacentric(db: Database):
-    line, orders = _data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        n_line = int(line["commit"].shape[0])
-        n_ord = int(orders["date"].shape[0])
-        with session.tracer.kernel("build lineitem"), session.tracer.overlap():
-            K.seq_read(session, line["commit"], "l_commitdate")
-            K.seq_read(session, line["receipt"], "l_receiptdate")
-            late = line["commit"] < line["receipt"]
-            session.tracer.emit(Compute(n=n_line, op="cmp", simd=False))
-            session.tracer.emit(
-                Branch(n=n_line, taken_fraction=float(late.mean()), site="late")
-            )
-            K.scalar_loop(session, n_line)
-            K.conditional_read(session, line["orderkey"], late, "l_orderkey")
-            table = HashTable(expected_keys=n_ord, num_aggs=0)
-            K.ht_insert_keys(
-                session, table, line["orderkey"][late].astype(np.int64)
-            )
-        with session.tracer.kernel("probe orders"), session.tracer.overlap():
-            K.seq_read(session, orders["date"], "o_orderdate")
-            session.tracer.emit(Compute(n=2 * n_ord, op="cmp", simd=False))
-            in_quarter = (orders["date"] >= DATE_LO) & (orders["date"] < DATE_HI)
-            session.tracer.emit(
-                Branch(
-                    n=n_ord,
-                    taken_fraction=float(in_quarter.mean()),
-                    site="quarter",
-                )
-            )
-            K.scalar_loop(session, n_ord)
-            K.conditional_read(session, orders["orderkey"], in_quarter, "o_orderkey")
-            keys = orders["orderkey"][in_quarter].astype(np.int64)
-            _, found = K.ht_lookup(session, table, keys)
-            session.tracer.emit(
-                Branch(
-                    n=int(in_quarter.sum()),
-                    taken_fraction=float(found.mean()) if found.size else 0.0,
-                    site="semijoin",
-                )
-            )
-            mask = in_quarter.copy()
-            mask[in_quarter] = found
-            return _count_selected(session, orders, mask, conditional=True)
-
-    return base.make(NAME, "datacentric", _SOURCE_DC, run)
-
-
-def hybrid(db: Database):
-    line, orders = _data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        n_ord = int(orders["date"].shape[0])
-        with session.tracer.kernel("build lineitem"), session.tracer.overlap():
-            late = K.compare_columns(
-                session,
-                line["commit"],
-                line["receipt"],
-                "<",
-                ("l_commitdate", "l_receiptdate"),
-            )
-            idx = K.selection_vector(session, late)
-            keys = K.gather(session, line["orderkey"], idx, "l_orderkey")
-            table = HashTable(expected_keys=n_ord, num_aggs=0)
-            K.ht_insert_keys(session, table, keys.astype(np.int64))
-        with session.tracer.kernel("probe orders"), session.tracer.overlap():
-            K.seq_read(session, orders["date"], "o_orderdate")
-            session.tracer.emit(
-                Compute(n=2 * n_ord, op="cmp", simd=True, width=4)
-            )
-            in_quarter = (orders["date"] >= DATE_LO) & (orders["date"] < DATE_HI)
-            idx = K.selection_vector(session, in_quarter)
-            keys = K.gather(session, orders["orderkey"], idx, "o_orderkey")
-            _, found = K.ht_lookup(session, table, keys.astype(np.int64))
-            session.tracer.emit(
-                Compute(n=int(found.shape[0]), op="select", simd=False)
-            )
-            mask = in_quarter.copy()
-            mask[in_quarter] = found
-            return _count_selected(session, orders, mask, conditional=True)
-
-    return base.make(NAME, "hybrid", _SOURCE_HY, run)
-
-
-def swole(db: Database):
-    line, orders = _data(db)
-    offsets = db.fk_index("lineitem", "l_orderkey").offsets
-
-    def run(session: Session) -> Dict[str, Any]:
-        n_line = int(line["commit"].shape[0])
-        n_ord = int(orders["date"].shape[0])
-        with session.tracer.kernel("bitmap build lineitem"), \
-                session.tracer.overlap():
-            late = K.compare_columns(
-                session,
-                line["commit"],
-                line["receipt"],
-                "<",
-                ("l_commitdate", "l_receiptdate"),
-            )
-            # lineitem is clustered by orderkey, so the FK offsets ascend
-            # and the bitmap OR-writes stream sequentially.
-            session.tracer.emit(
-                SeqRead(n=n_line, width=8, array="fkindex(l_orderkey)")
-            )
-            session.tracer.emit(Compute(n=n_line, op="or", simd=True, width=1))
-            session.tracer.emit(
-                SeqWrite(n=max(n_ord // 8, 1), width=1, array="bitmap")
-            )
-            exists = np.zeros(n_ord, dtype=bool)
-            exists[offsets[late]] = True
-        with session.tracer.kernel("probe orders"), session.tracer.overlap():
-            K.seq_read(session, orders["date"], "o_orderdate")
-            session.tracer.emit(
-                Compute(n=2 * n_ord, op="cmp", simd=True, width=4)
-            )
-            in_quarter = (orders["date"] >= DATE_LO) & (orders["date"] < DATE_HI)
-            # positional probe: bit i corresponds to order row i, so the
-            # bitmap is read sequentially and ANDed with the prepass.
-            session.tracer.emit(
-                SeqRead(n=max(n_ord // 8, 1), width=1, array="bitmap")
-            )
-            session.tracer.emit(Compute(n=n_ord, op="and", simd=True, width=1))
-            mask = in_quarter & exists
-            # key masking for the tiny priority count table
-            K.seq_read(session, orders["prio"], "o_orderpriority")
-            session.tracer.emit(Compute(n=n_ord, op="blend", simd=True, width=8))
-            keys = np.where(mask, orders["prio"].astype(np.int64), NULL_KEY)
-            table = HashTable(expected_keys=NUM_PRIORITIES + 1, num_aggs=1)
-            K.ht_aggregate(
-                session, table, keys, np.ones(n_ord, dtype=np.int64)
-            )
-            result_keys, aggs = table.items()
-            keep = result_keys != NULL_KEY
-            return base.grouped(result_keys[keep], aggs[keep])
-
-    return base.make(NAME, "swole", _SOURCE_SW, run)

@@ -19,10 +19,6 @@ from typing import Any, Dict
 
 import numpy as np
 
-from ..engine import kernels as K
-from ..engine.events import Branch, Compute, RandomAccess, SeqRead, SeqWrite
-from ..engine.hashtable import HashTable
-from ..engine.session import Session
 from ..storage.database import Database
 from . import base
 from ..datagen.tpch import DATE_1994_01_01, DATE_1995_01_01
@@ -30,28 +26,6 @@ from ..datagen.tpch import DATE_1994_01_01, DATE_1995_01_01
 NAME = "Q5"
 TABLES = ("region", "nation", "customer", "supplier", "orders", "lineitem")
 REGION = "ASIA"
-
-_SOURCE_DC = """\
-// Q5 data-centric: chained hash joins, every lineitem tuple probes
-/* nations in ASIA -> set; customers/suppliers -> key->nation tables */
-for (i = 0; i < orders; i++)
-    if (o_orderdate[i] in FY1994 && (cn = cust_nation(o_custkey[i])) >= 0)
-        ht_insert(ord, o_orderkey[i], cn);
-for (i = 0; i < lineitem; i++)
-    if ((e = ht_find(ord, l_orderkey[i]))
-        && (sn = supp_nation(l_suppkey[i])) == e->cnation)
-        rev[sn] += l_extendedprice[i] * (100 - l_discount[i]);"""
-
-_SOURCE_HY = """\
-// Q5 hybrid: prepass on orders; lineitem still probes per tuple
-/* identical join chain with selection vectors where predicates exist */"""
-
-_SOURCE_SW = """\
-// Q5 SWOLE: bitmap semijoins everywhere + late materialisation
-/* nation bitmap from region; customer/supplier bitmaps via FK indexes;
-   orders bitmap = date prepass & customer bit;
-   lineitem mask = orders bit[l_orderkey] & supplier bit[l_suppkey];
-   late materialisation: only survivors fetch s_nation, c_nation, price */"""
 
 
 def _data(db: Database) -> Dict[str, Dict[str, np.ndarray]]:
@@ -102,266 +76,3 @@ def reference(db: Database) -> Dict[str, Any]:
     return base.grouped(unique, aggs)
 
 
-def _pushdown(db: Database, branching: bool, strategy: str, source: str):
-    """Shared data-centric / hybrid implementation (they differ only in
-    predicate evaluation style; the join chain is identical)."""
-    data = _data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        nation_ok = _asian_nations(db)
-        cust_nation = data["customer"]["c_nationkey"].astype(np.int64)
-        supp_nation = data["supplier"]["s_nationkey"].astype(np.int64)
-
-        # --- small dimension pipelines -------------------------------
-        with session.tracer.kernel("build dimensions"), session.tracer.overlap():
-            for table, column in (
-                ("nation", "n_regionkey"),
-                ("customer", "c_nationkey"),
-                ("supplier", "s_nationkey"),
-            ):
-                values = data[table][column]
-                K.seq_read(session, values, column)
-                n = int(values.shape[0])
-                session.tracer.emit(
-                    RandomAccess(n=n, struct_bytes=32 * 8, kind="ht_lookup")
-                )
-                if branching:
-                    session.tracer.emit(
-                        Branch(n=n, taken_fraction=0.2, site=table)
-                    )
-            cust_ok = nation_ok[db.fk_index("customer", "c_nationkey").offsets]
-            supp_ok = nation_ok[db.fk_index("supplier", "s_nationkey").offsets]
-            cust_table_bytes = int(cust_ok.sum()) * 16
-            K.ht_insert_keys(
-                session,
-                HashTable(expected_keys=max(int(cust_ok.sum()), 1)),
-                data["customer"]["c_custkey"][cust_ok].astype(np.int64),
-            )
-            K.ht_insert_keys(
-                session,
-                HashTable(expected_keys=max(int(supp_ok.sum()), 1)),
-                data["supplier"]["s_suppkey"][supp_ok].astype(np.int64),
-            )
-
-        # --- orders pipeline ------------------------------------------
-        orders = data["orders"]
-        no = int(orders["o_orderdate"].shape[0])
-        cust_off = db.fk_index("orders", "o_custkey").offsets
-        with session.tracer.kernel("build orders"), session.tracer.overlap():
-            if branching:
-                K.seq_read(session, orders["o_orderdate"], "o_orderdate")
-                session.tracer.emit(Compute(n=2 * no, op="cmp", simd=False))
-                dmask = (orders["o_orderdate"] >= DATE_1994_01_01) & (
-                    orders["o_orderdate"] < DATE_1995_01_01
-                )
-                session.tracer.emit(
-                    Branch(n=no, taken_fraction=float(dmask.mean()), site="fy")
-                )
-                K.scalar_loop(session, no)
-                K.conditional_read(session, orders["o_custkey"], dmask, "o_custkey")
-            else:
-                K.seq_read(session, orders["o_orderdate"], "o_orderdate")
-                session.tracer.emit(
-                    Compute(n=2 * no, op="cmp", simd=True, width=4)
-                )
-                dmask = (orders["o_orderdate"] >= DATE_1994_01_01) & (
-                    orders["o_orderdate"] < DATE_1995_01_01
-                )
-                idx = K.selection_vector(session, dmask)
-                K.gather(session, orders["o_custkey"], idx, "o_custkey")
-            k = int(dmask.sum())
-            session.tracer.emit(
-                RandomAccess(
-                    n=k, struct_bytes=max(cust_table_bytes, 64), op_cycles=2.0
-                )
-            )
-            omask = dmask & cust_ok[cust_off]
-            if branching:
-                session.tracer.emit(
-                    Branch(
-                        n=k,
-                        taken_fraction=float(omask.sum()) / k if k else 0.0,
-                        site="cust-join",
-                    )
-                )
-            order_table = HashTable(expected_keys=int(omask.sum()), num_aggs=1)
-            K.conditional_read(session, orders["o_orderkey"], omask, "o_orderkey")
-            K.ht_insert_keys(
-                session, order_table, orders["o_orderkey"][omask].astype(np.int64)
-            )
-            order_cnation = cust_nation[cust_off]
-
-        # --- lineitem pipeline: a lookup for EVERY tuple ----------------
-        line = data["lineitem"]
-        nl = int(line["l_orderkey"].shape[0])
-        ord_off = db.fk_index("lineitem", "l_orderkey").offsets
-        supp_off = db.fk_index("lineitem", "l_suppkey").offsets
-        with session.tracer.kernel("probe lineitem"), session.tracer.overlap():
-            K.seq_read(session, line["l_orderkey"], "l_orderkey")
-            _, found = K.ht_lookup(
-                session, order_table, line["l_orderkey"].astype(np.int64)
-            )
-            if branching:
-                session.tracer.emit(
-                    Branch(
-                        n=nl,
-                        taken_fraction=float(found.mean()),
-                        site="order-join",
-                    )
-                )
-            else:
-                session.tracer.emit(
-                    Compute(n=nl, op="select", simd=False)
-                )
-            K.scalar_loop(session, nl)
-            order_hit = omask[ord_off]
-            k1 = int(order_hit.sum())
-            K.conditional_read(session, line["l_suppkey"], order_hit, "l_suppkey")
-            session.tracer.emit(
-                RandomAccess(
-                    n=k1,
-                    struct_bytes=max(int(supp_ok.sum()), 1) * 16,
-                    op_cycles=2.0,
-                )
-            )
-            supp_hit = order_hit & supp_ok[supp_off]
-            if branching:
-                session.tracer.emit(
-                    Branch(
-                        n=k1,
-                        taken_fraction=float(supp_hit.sum()) / k1 if k1 else 0.0,
-                        site="supp-join",
-                    )
-                )
-            # nation equality check
-            session.tracer.emit(Compute(n=int(supp_hit.sum()), op="cmp", simd=False))
-            final = supp_hit & (
-                order_cnation[ord_off] == supp_nation[supp_off]
-            )
-            kf = int(final.sum())
-            K.conditional_read(session, line["l_extendedprice"], final, "price")
-            K.conditional_read(session, line["l_discount"], final, "disc")
-            for op in ("sub", "mul"):
-                session.tracer.emit(Compute(n=kf, op=op, simd=False))
-            keys = supp_nation[supp_off][final]
-            revenue = line["l_extendedprice"][final].astype(np.int64) * (
-                100 - line["l_discount"][final].astype(np.int64)
-            )
-            group = HashTable(expected_keys=25, num_aggs=1)
-            K.ht_aggregate(session, group, keys, revenue)
-            return base.grouped(*group.items())
-
-    return base.make(NAME, strategy, source, run)
-
-
-def datacentric(db: Database):
-    return _pushdown(db, branching=True, strategy="datacentric",
-                     source=_SOURCE_DC)
-
-
-def hybrid(db: Database):
-    return _pushdown(db, branching=False, strategy="hybrid", source=_SOURCE_HY)
-
-
-def swole(db: Database):
-    data = _data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        nation_ok = _asian_nations(db)
-        cust_nation = data["customer"]["c_nationkey"].astype(np.int64)
-        supp_nation = data["supplier"]["s_nationkey"].astype(np.int64)
-        nc = int(cust_nation.shape[0])
-        ns = int(supp_nation.shape[0])
-
-        # --- dimension bitmaps (all sequential) -------------------------
-        with session.tracer.kernel("dimension bitmaps"), session.tracer.overlap():
-            for table, column, rows in (
-                ("nation", "n_regionkey", 25),
-                ("customer", "c_nationkey", nc),
-                ("supplier", "s_nationkey", ns),
-            ):
-                K.seq_read(session, data[table][column], column)
-                session.tracer.emit(
-                    RandomAccess(n=rows, struct_bytes=4, kind="bitmap_test")
-                )
-                session.tracer.emit(
-                    SeqWrite(n=max(rows // 8, 1), width=1, array=f"bm({table})")
-                )
-            cust_ok = nation_ok[db.fk_index("customer", "c_nationkey").offsets]
-            supp_ok = nation_ok[db.fk_index("supplier", "s_nationkey").offsets]
-
-        # --- orders bitmap ----------------------------------------------
-        orders = data["orders"]
-        no = int(orders["o_orderdate"].shape[0])
-        cust_off = db.fk_index("orders", "o_custkey").offsets
-        with session.tracer.kernel("orders bitmap"), session.tracer.overlap():
-            K.seq_read(session, orders["o_orderdate"], "o_orderdate")
-            session.tracer.emit(Compute(n=2 * no, op="cmp", simd=True, width=4))
-            dmask = (orders["o_orderdate"] >= DATE_1994_01_01) & (
-                orders["o_orderdate"] < DATE_1995_01_01
-            )
-            session.tracer.emit(
-                SeqRead(n=no, width=8, array="fkindex(o_custkey)")
-            )
-            session.tracer.emit(
-                RandomAccess(
-                    n=no, struct_bytes=max(nc // 8, 1), kind="bitmap_test"
-                )
-            )
-            session.tracer.emit(Compute(n=no, op="and", simd=True, width=1))
-            omask = dmask & cust_ok[cust_off]
-            session.tracer.emit(
-                SeqWrite(n=max(no // 8, 1), width=1, array="bm(orders)")
-            )
-
-        # --- lineitem: sequential bitmap probes, late materialisation ---
-        line = data["lineitem"]
-        nl = int(line["l_orderkey"].shape[0])
-        ord_off = db.fk_index("lineitem", "l_orderkey").offsets
-        supp_off = db.fk_index("lineitem", "l_suppkey").offsets
-        with session.tracer.kernel("probe lineitem"), session.tracer.overlap():
-            # two FK-index streams + two cached bitmap tests per tuple
-            session.tracer.emit(
-                SeqRead(n=nl, width=8, array="fkindex(l_orderkey)")
-            )
-            session.tracer.emit(
-                RandomAccess(n=nl, struct_bytes=max(no // 8, 1),
-                             kind="bitmap_test")
-            )
-            session.tracer.emit(
-                SeqRead(n=nl, width=8, array="fkindex(l_suppkey)")
-            )
-            session.tracer.emit(
-                RandomAccess(n=nl, struct_bytes=max(ns // 8, 1),
-                             kind="bitmap_test")
-            )
-            session.tracer.emit(Compute(n=2 * nl, op="and", simd=True, width=1))
-            survive = omask[ord_off] & supp_ok[supp_off]
-            idx = K.selection_vector(session, survive)
-            k = int(idx.shape[0])
-            # late materialisation: survivors fetch nation keys + revenue
-            session.tracer.emit(
-                RandomAccess(n=k, struct_bytes=ns * 1, kind="gather(s_nation)")
-            )
-            session.tracer.emit(
-                RandomAccess(n=k, struct_bytes=nc * 1, kind="gather(c_nation)")
-            )
-            session.tracer.emit(Compute(n=k, op="cmp", simd=False))
-            final = survive & (
-                cust_nation[cust_off][ord_off] == supp_nation[supp_off]
-            )
-            kf = int(final.sum())
-            fidx = np.flatnonzero(final)
-            K.gather(session, line["l_extendedprice"], fidx, "price")
-            K.gather(session, line["l_discount"], fidx, "disc")
-            for op in ("sub", "mul"):
-                session.tracer.emit(Compute(n=kf, op=op, simd=False))
-            keys = supp_nation[supp_off][final]
-            revenue = line["l_extendedprice"][final].astype(np.int64) * (
-                100 - line["l_discount"][final].astype(np.int64)
-            )
-            group = HashTable(expected_keys=25, num_aggs=1)
-            K.ht_aggregate(session, group, keys, revenue)
-            return base.grouped(*group.items())
-
-    return base.make(NAME, "swole", _SOURCE_SW, run)

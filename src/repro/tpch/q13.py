@@ -17,38 +17,10 @@ from typing import Any, Dict
 
 import numpy as np
 
-from ..engine import kernels as K
-from ..engine.events import Branch, Compute, SeqRead
-from ..engine.hashtable import HashTable
-from ..engine.session import Session
 from ..storage.database import Database
 from . import base
 
 NAME = "Q13"
-TABLES = ("customer", "orders")
-
-_SOURCE_DC = """\
-// Q13 data-centric: per-tuple LIKE + branch, hash count per customer
-for (i = 0; i < orders; i++)
-    if (!like(o_comment[i], "%special%requests%"))
-        ht_find(ht, o_custkey[i])->count += 1;
-/* distribution pass over ht + zero-order customers */"""
-
-_SOURCE_HY = """\
-// Q13 hybrid: LIKE evaluated in a prepass loop (still scalar), selvec
-for (i = 0; i < orders; i += TILE) {
-    for (j = 0; j < len; j++) cmp[j] = !like(o_comment[i+j], pattern);
-    for (j = 0; j < len; j++) { idx[k] = i + j; k += cmp[j]; }
-    for (j = 0; j < k; j++) ht_find(ht, o_custkey[idx[j]])->count += 1;
-}"""
-
-_SOURCE_SW = """\
-// Q13 SWOLE: value masking — unconditional count update, masked delta
-for (i = 0; i < orders; i += TILE) {
-    for (j = 0; j < len; j++) cmp[j] = !like(o_comment[i+j], pattern);
-    for (j = 0; j < len; j++)
-        ht_find(ht, o_custkey[i+j])->count += cmp[j];
-}"""
 
 
 def _data(db: Database) -> Dict[str, np.ndarray]:
@@ -57,33 +29,6 @@ def _data(db: Database) -> Dict[str, np.ndarray]:
         "custkey": orders["o_custkey"],
         "special": orders["o_comment_special"],
     }
-
-
-def _distribution(
-    session: Session, per_customer: np.ndarray, num_customers: int
-) -> Dict[str, Any]:
-    """Second aggregation: order-count -> number of customers.
-
-    ``per_customer`` holds counts for customers with >= 1 scanned order;
-    the remaining customers contribute to bucket zero. Identical across
-    strategies (it runs over the tiny first-phase hash table).
-    """
-    session.tracer.emit(
-        SeqRead(n=int(per_customer.shape[0]), width=8, array="ht(custkey)")
-    )
-    values, counts = np.unique(per_customer, return_counts=True)
-    missing = num_customers - int(per_customer.shape[0])
-    buckets = dict(zip(values.tolist(), counts.tolist()))
-    if missing:
-        buckets[0] = buckets.get(0, 0) + missing
-    table = HashTable(expected_keys=len(buckets), num_aggs=1)
-    K.ht_aggregate(
-        session,
-        table,
-        np.asarray(list(buckets), dtype=np.int64),
-        np.asarray(list(buckets.values()), dtype=np.int64),
-    )
-    return base.grouped(*table.items())
 
 
 def reference(db: Database) -> Dict[str, Any]:
@@ -105,78 +50,3 @@ def reference(db: Database) -> Dict[str, Any]:
     )
 
 
-def _first_phase_table(db: Database) -> int:
-    return db.table("customer").num_rows
-
-
-def datacentric(db: Database):
-    data = _data(db)
-    nc = _first_phase_table(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        n = int(data["custkey"].shape[0])
-        with session.tracer.kernel("scan orders"), session.tracer.overlap():
-            mask = data["special"] == 0
-            K.string_match(session, mask, "o_comment")
-            session.tracer.emit(
-                Branch(n=n, taken_fraction=float(mask.mean()), site="like")
-            )
-            K.scalar_loop(session, n)
-            K.conditional_read(session, data["custkey"], mask, "o_custkey")
-            keys = data["custkey"][mask].astype(np.int64)
-            table = HashTable(expected_keys=nc, num_aggs=1)
-            K.ht_aggregate(
-                session, table, keys, np.ones(keys.shape[0], dtype=np.int64)
-            )
-        with session.tracer.kernel("distribution"):
-            _, aggs = table.items()
-            return _distribution(session, aggs[:, 0], nc)
-
-    return base.make(NAME, "datacentric", _SOURCE_DC, run)
-
-
-def hybrid(db: Database):
-    data = _data(db)
-    nc = _first_phase_table(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        with session.tracer.kernel("scan orders"), session.tracer.overlap():
-            mask = data["special"] == 0
-            K.string_match(session, mask, "o_comment")
-            idx = K.selection_vector(session, mask)
-            keys = K.gather(session, data["custkey"], idx, "o_custkey")
-            table = HashTable(expected_keys=nc, num_aggs=1)
-            K.ht_aggregate(
-                session,
-                table,
-                keys.astype(np.int64),
-                np.ones(keys.shape[0], dtype=np.int64),
-            )
-        with session.tracer.kernel("distribution"):
-            _, aggs = table.items()
-            return _distribution(session, aggs[:, 0], nc)
-
-    return base.make(NAME, "hybrid", _SOURCE_HY, run)
-
-
-def swole(db: Database):
-    data = _data(db)
-    nc = _first_phase_table(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        n = int(data["custkey"].shape[0])
-        with session.tracer.kernel("scan orders"), session.tracer.overlap():
-            mask = data["special"] == 0
-            K.string_match(session, mask, "o_comment")
-            # value masking: every order updates its customer's entry,
-            # with a masked 0/1 delta — no conditional custkey read.
-            K.seq_read(session, data["custkey"], "o_custkey")
-            session.tracer.emit(Compute(n=n, op="mul", simd=True, width=8))
-            keys = data["custkey"].astype(np.int64)
-            table = HashTable(expected_keys=nc, num_aggs=1)
-            K.ht_aggregate(session, table, keys, mask.astype(np.int64))
-        with session.tracer.kernel("distribution"):
-            _, aggs = table.items()
-            return _distribution(session, aggs[:, 0], nc)
-
-    return base.make(NAME, "swole", _SOURCE_SW, run)

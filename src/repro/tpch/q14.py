@@ -18,43 +18,10 @@ from typing import Any, Dict
 
 import numpy as np
 
-from ..engine import kernels as K
-from ..engine.events import Branch, Compute, RandomAccess
-from ..engine.session import Session
 from ..storage.database import Database
-from . import base
 from ..datagen.tpch import DATE_1995_09_01, DATE_1995_10_01
 
 NAME = "Q14"
-TABLES = ("part", "lineitem")
-
-_SOURCE_DC = """\
-// Q14 data-centric: per-tuple branch + index join into part
-/* part scan: promo[code] = starts_with(p_type_dict[code], "PROMO") */
-for (i = 0; i < lineitem; i++)
-    if (l_shipdate[i] >= d1 && l_shipdate[i] < d2) {
-        rev = l_extendedprice[i] * (100 - l_discount[i]);
-        den += rev;
-        num += rev * promo_flag[pk_offset(l_partkey[i])];
-    }"""
-
-_SOURCE_HY = """\
-// Q14 hybrid: SIMD prepass on the month predicate, then index join
-for (i = 0; i < lineitem; i += TILE) {
-    for (j = 0; j < len; j++)
-        cmp[j] = (l_shipdate[i+j] >= d1) & (l_shipdate[i+j] < d2);
-    for (j = 0; j < len; j++) { idx[k] = i + j; k += cmp[j]; }
-    for (j = 0; j < k; j++) {
-        rev = l_extendedprice[idx[j]] * (100 - l_discount[idx[j]]);
-        den += rev;
-        num += rev * promo_flag[pk_offset(l_partkey[idx[j]])];
-    }
-}"""
-
-_SOURCE_SW = (
-    "// Q14 SWOLE: cost model finds no beneficial pullup (1% selectivity,\n"
-    "// index-join bound) -> fall back to the hybrid program\n" + _SOURCE_HY
-)
 
 
 def _data(db: Database) -> Dict[str, np.ndarray]:
@@ -101,108 +68,3 @@ def reference(db: Database) -> Dict[str, Any]:
     }
 
 
-def _part_scan(session: Session, db: Database) -> np.ndarray:
-    """Initial scan of part: dictionary-driven promo flag per row."""
-    p_type = db.table("part").column("p_type")
-    with session.tracer.kernel("scan part"), session.tracer.overlap():
-        K.seq_read(session, p_type.values, "p_type")
-        # one lookup per part into the 150-entry code -> flag table
-        session.tracer.emit(
-            RandomAccess(
-                n=len(p_type.values),
-                struct_bytes=len(p_type.dictionary),
-                kind="lut",
-            )
-        )
-        flags = _promo_flags(db)
-        K.seq_write(session, flags.view(np.uint8), "promo_flag")
-    return flags
-
-
-def _index_join_tail(
-    session: Session,
-    db: Database,
-    data: Dict[str, np.ndarray],
-    mask: np.ndarray,
-    flags: np.ndarray,
-) -> Dict[str, Any]:
-    """Shared tail: gather price/disc/partkey, probe part flags, sum."""
-    k = int(mask.sum())
-    offsets = db.fk_index("lineitem", "l_partkey").offsets
-    idx = np.flatnonzero(mask)
-    price = K.gather(session, data["price"], idx, "l_extendedprice")
-    disc = K.gather(session, data["disc"], idx, "l_discount")
-    K.gather(session, offsets, idx, "fkindex(l_partkey)")
-    # the index join proper: random reads into the part flag array
-    session.tracer.emit(
-        RandomAccess(
-            n=k, struct_bytes=int(flags.shape[0]), kind="index_join"
-        )
-    )
-    promo = flags[offsets[idx]]
-    for op in ("sub", "mul", "mul", "add", "add"):
-        session.tracer.emit(Compute(n=k, op=op, simd=False))
-    rev = price.astype(np.int64) * (100 - disc.astype(np.int64))
-    return {
-        "promo_revenue": int(rev[promo].sum()),
-        "total_revenue": int(rev.sum()),
-    }
-
-
-def datacentric(db: Database):
-    data = _data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        flags = _part_scan(session, db)
-        n = int(data["shipdate"].shape[0])
-        with session.tracer.kernel("scan lineitem"), session.tracer.overlap():
-            K.seq_read(session, data["shipdate"], "l_shipdate")
-            session.tracer.emit(Compute(n=2 * n, op="cmp", simd=False))
-            mask = _month_mask(data)
-            session.tracer.emit(
-                Branch(n=n, taken_fraction=float(mask.mean()), site="month")
-            )
-            K.scalar_loop(session, n)
-            k = int(mask.sum())
-            for name in ("price", "disc", "partkey"):
-                K.conditional_read(session, data[name], mask, name)
-            offsets = db.fk_index("lineitem", "l_partkey").offsets
-            session.tracer.emit(
-                RandomAccess(
-                    n=k, struct_bytes=int(flags.shape[0]), kind="index_join"
-                )
-            )
-            promo = flags[offsets[mask]]
-            for op in ("sub", "mul", "mul", "add", "add"):
-                session.tracer.emit(Compute(n=k, op=op, simd=False))
-            rev = data["price"][mask].astype(np.int64) * (
-                100 - data["disc"][mask].astype(np.int64)
-            )
-            return {
-                "promo_revenue": int(rev[promo].sum()),
-                "total_revenue": int(rev.sum()),
-            }
-
-    return base.make(NAME, "datacentric", _SOURCE_DC, run)
-
-
-def hybrid(db: Database):
-    data = _data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        flags = _part_scan(session, db)
-        n = int(data["shipdate"].shape[0])
-        with session.tracer.kernel("scan lineitem"), session.tracer.overlap():
-            K.seq_read(session, data["shipdate"], "l_shipdate")
-            session.tracer.emit(Compute(n=2 * n, op="cmp", simd=True, width=4))
-            mask = _month_mask(data)
-            K.selection_vector(session, mask)
-            return _index_join_tail(session, db, data, mask, flags)
-
-    return base.make(NAME, "hybrid", _SOURCE_HY, run)
-
-
-def swole(db: Database):
-    """SWOLE falls back to hybrid for Q14 (paper §IV-A7)."""
-    inner = hybrid(db)
-    return base.make(NAME, "swole", _SOURCE_SW, inner._fn)

@@ -21,14 +21,9 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..engine import kernels as K
-from ..engine.events import Branch, Compute, RandomAccess, SeqWrite
-from ..engine.session import Session
 from ..storage.database import Database
-from . import base
 
 NAME = "Q19"
-TABLES = ("part", "lineitem")
 
 #: (brand, containers, qty_lo, qty_hi, size_hi) per disjunct.
 DISJUNCTS: Tuple[Tuple[str, Tuple[str, ...], int, int, int], ...] = (
@@ -38,36 +33,6 @@ DISJUNCTS: Tuple[Tuple[str, Tuple[str, ...], int, int, int], ...] = (
 )
 SHIPMODES_OK = ("AIR", "REG AIR")
 SHIPINSTRUCT_OK = "DELIVER IN PERSON"
-
-_SOURCE_DC = """\
-// Q19 data-centric: per-tuple branches + index join per candidate
-for (i = 0; i < lineitem; i++)
-    if (shipmode_ok(i) && shipinstruct_ok(i)) {
-        p = pk_offset(l_partkey[i]);      // index join (random)
-        if (disjunct1(p, i) || disjunct2(p, i) || disjunct3(p, i))
-            rev += l_extendedprice[i] * (100 - l_discount[i]);
-    }"""
-
-_SOURCE_HY = """\
-// Q19 hybrid: SIMD prepass for the independent lineitem predicates,
-// selection vector, then the join condition per staged tuple
-/* cmp[j] = shipmode_ok & shipinstruct_ok;  idx; gather part attrs;
-   evaluate the disjunction branch-free; sum */"""
-
-_SOURCE_SW = """\
-// Q19 SWOLE: three bitmaps from ONE sequential scan of part
-for (i = 0; i < part; i++) {
-    bm1[i] = (p_brand[i]==B12) & in(p_container[i], SM) & (p_size[i]<=5);
-    bm2[i] = (p_brand[i]==B23) & in(p_container[i], MED) & (p_size[i]<=10);
-    bm3[i] = (p_brand[i]==B34) & in(p_container[i], LG) & (p_size[i]<=15);
-}
-// union of semijoins, value-masked aggregation
-for (i = 0; i < lineitem; i++) {
-    common = shipmode_ok(i) & shipinstruct_ok(i);
-    hit = (bm1[pk[i]] & qty1(i)) | (bm2[pk[i]] & qty2(i))
-        | (bm3[pk[i]] & qty3(i));
-    rev += l_extendedprice[i] * (100 - l_discount[i]) * (common & hit);
-}"""
 
 
 def _part_data(db: Database) -> Dict[str, np.ndarray]:
@@ -142,148 +107,3 @@ def reference(db: Database) -> Dict[str, Any]:
     return {"revenue": int(revenue.sum())}
 
 
-def datacentric(db: Database):
-    data = _line_data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        n = int(data["qty"].shape[0])
-        nparts = db.table("part").num_rows
-        with session.tracer.kernel("scan lineitem"), session.tracer.overlap():
-            K.seq_read(session, data["shipmode"], "l_shipmode")
-            session.tracer.emit(Compute(n=2 * n, op="cmp", simd=False))
-            common = _common_mask(db)
-            # short-circuit: shipinstruct only checked for shipmode hits
-            session.tracer.emit(
-                Branch(n=n, taken_fraction=float(common.mean()), site="common")
-            )
-            K.scalar_loop(session, n)
-            k = int(common.sum())
-            K.conditional_read(session, data["shipinstruct"], common,
-                               "l_shipinstruct")
-            K.conditional_read(session, data["qty"], common, "l_quantity")
-            # index join + disjunction, candidate tuples only
-            session.tracer.emit(
-                RandomAccess(n=k, struct_bytes=nparts * 6, kind="index_join")
-            )
-            session.tracer.emit(Compute(n=9 * k, op="cmp", simd=False))
-            hit = _line_hit(db)
-            final = common & hit
-            session.tracer.emit(
-                Branch(
-                    n=k,
-                    taken_fraction=float(final.sum()) / k if k else 0.0,
-                    site="disjunction",
-                )
-            )
-            kf = int(final.sum())
-            K.conditional_read(session, data["price"], final, "price")
-            K.conditional_read(session, data["disc"], final, "disc")
-            for op in ("sub", "mul", "add"):
-                session.tracer.emit(Compute(n=kf, op=op, simd=False))
-            revenue = data["price"][final].astype(np.int64) * (
-                100 - data["disc"][final].astype(np.int64)
-            )
-            return {"revenue": int(revenue.sum())}
-
-    return base.make(NAME, "datacentric", _SOURCE_DC, run)
-
-
-def hybrid(db: Database):
-    data = _line_data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        n = int(data["qty"].shape[0])
-        nparts = db.table("part").num_rows
-        with session.tracer.kernel("scan lineitem"), session.tracer.overlap():
-            # SIMD prepass for the two independent predicates
-            K.seq_read(session, data["shipmode"], "l_shipmode")
-            K.seq_read(session, data["shipinstruct"], "l_shipinstruct")
-            session.tracer.emit(Compute(n=3 * n, op="cmp", simd=True, width=4))
-            session.tracer.emit(Compute(n=n, op="and", simd=True, width=1))
-            common = _common_mask(db)
-            idx = K.selection_vector(session, common)
-            k = int(idx.shape[0])
-            K.gather(session, data["qty"], idx, "l_quantity")
-            # join condition: random part fetches for the staged tuples
-            session.tracer.emit(
-                RandomAccess(n=k, struct_bytes=nparts * 6, kind="index_join")
-            )
-            session.tracer.emit(Compute(n=9 * k, op="cmp", simd=False))
-            final = common & _line_hit(db)
-            session.tracer.emit(Compute(n=k, op="select", simd=False))
-            kf = int(final.sum())
-            fidx = np.flatnonzero(final)
-            K.gather(session, data["price"], fidx, "price")
-            K.gather(session, data["disc"], fidx, "disc")
-            for op in ("sub", "mul", "add"):
-                session.tracer.emit(Compute(n=kf, op=op, simd=False))
-            revenue = data["price"][final].astype(np.int64) * (
-                100 - data["disc"][final].astype(np.int64)
-            )
-            return {"revenue": int(revenue.sum())}
-
-    return base.make(NAME, "hybrid", _SOURCE_HY, run)
-
-
-def swole(db: Database):
-    data = _line_data(db)
-
-    def run(session: Session) -> Dict[str, Any]:
-        n = int(data["qty"].shape[0])
-        nparts = db.table("part").num_rows
-        part = _part_data(db)
-        with session.tracer.kernel("bitmap build part"), session.tracer.overlap():
-            # one sequential scan of part builds all three bitmaps
-            for name in ("brand", "container", "size"):
-                K.seq_read(session, part[name], f"p_{name}")
-            session.tracer.emit(
-                Compute(n=6 * nparts * 3, op="cmp", simd=True, width=4)
-            )
-            session.tracer.emit(
-                SeqWrite(n=3 * max(nparts // 8, 1), width=1, array="bitmaps")
-            )
-            part_masks = _part_masks(db)
-        offsets = db.fk_index("lineitem", "l_partkey").offsets
-        with session.tracer.kernel("probe lineitem"), session.tracer.overlap():
-            # common predicates + three quantity ranges, all SIMD prepass
-            K.seq_read(session, data["shipmode"], "l_shipmode")
-            K.seq_read(session, data["shipinstruct"], "l_shipinstruct")
-            K.seq_read(session, data["qty"], "l_quantity")
-            session.tracer.emit(Compute(n=9 * n, op="cmp", simd=True, width=4))
-            common = _common_mask(db)
-            idx = K.selection_vector(session, common)
-            k = int(idx.shape[0])
-            # union of semijoins: three cached bitmap tests per staged
-            # tuple replace the hybrid strategy's random part fetches
-            # and nine scalar comparisons
-            K.gather(session, offsets, idx, "fkindex(l_partkey)")
-            session.tracer.emit(
-                RandomAccess(
-                    n=3 * k,
-                    struct_bytes=max(nparts // 8, 1),
-                    kind="bitmap_test",
-                )
-            )
-            session.tracer.emit(
-                Compute(n=6 * k, op="and", simd=True, width=1)
-            )
-            hit = np.zeros(n, dtype=bool)
-            for mask, (_, _, qty_lo, qty_hi, _) in zip(part_masks, DISJUNCTS):
-                hit |= (
-                    mask[offsets]
-                    & (data["qty"] >= qty_lo)
-                    & (data["qty"] <= qty_hi)
-                )
-            final = common & hit
-            kf = int(final.sum())
-            fidx = np.flatnonzero(final)
-            K.gather(session, data["price"], fidx, "price")
-            K.gather(session, data["disc"], fidx, "disc")
-            for op in ("sub", "mul", "add"):
-                session.tracer.emit(Compute(n=kf, op=op, simd=False))
-            revenue = data["price"][final].astype(np.int64) * (
-                100 - data["disc"][final].astype(np.int64)
-            )
-            return {"revenue": int(revenue.sum())}
-
-    return base.make(NAME, "swole", _SOURCE_SW, run)

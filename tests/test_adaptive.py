@@ -19,6 +19,7 @@ from repro.adaptive import (
 )
 from repro.adaptive.reopt import ReOptimizer
 from repro.bench.adaptive import clustered_microbench
+from repro.codegen.pipeline import compile_pipeline
 from repro.datagen import microbench as mb
 from repro.engine.costing import StatsOverride
 from repro.engine.facade import Engine
@@ -26,7 +27,7 @@ from repro.engine.plan_cache import PlanCache, query_fingerprint
 from repro.engine.program import results_equal
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry
-from repro.tpch.base import STRATEGIES, compile_tpch
+from repro.tpch.base import STRATEGIES
 from repro.tpch.plans import PIPELINE_QUERIES, logical_plan
 
 
@@ -606,10 +607,11 @@ class TestTpchEquivalence:
                         name, strategy, backend,
                     )
 
-    def test_override_threads_into_compile_tpch(self, tpch_db):
-        plain = compile_tpch("Q6", "swole", tpch_db)
-        overridden = compile_tpch(
-            "Q6", "swole", tpch_db,
+    def test_override_threads_into_compile_pipeline(self, tpch_db):
+        plan = logical_plan("Q6")
+        plain = compile_pipeline(plan, tpch_db, "swole")
+        overridden = compile_pipeline(
+            plan, tpch_db, "swole",
             overrides=StatsOverride(selectivity=0.9),
         )
         assert "stats_override" in overridden.notes

@@ -1,9 +1,10 @@
 """Cross-strategy answer equivalence: the repository's spine invariant.
 
-Every code-generation strategy — interpreter, data-centric, hybrid, ROF,
-SWOLE (with whatever techniques its planner picked) — must return exactly
-the reference interpreter's answer on every query shape, across
-selectivities and on adversarial hypothesis-generated data.
+Every code-generation strategy — interpreter, data-centric, hybrid,
+SWOLE (with whatever techniques its passes picked) — compiled through
+the staged pipeline must return exactly the reference interpreter's
+answer on every query shape, across selectivities and on adversarial
+hypothesis-generated data.
 """
 
 import numpy as np
@@ -11,25 +12,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.swole  # noqa: F401 - registers the swole strategy
-from repro.codegen import available_strategies, compile_query
+from repro.codegen import STRATEGIES, available_strategies, compile_pipeline
 from repro.datagen import microbench as mb
 from repro.engine import Session, reference
 from repro.engine.program import results_equal
-from repro.plan.expressions import And, Col, Const
-from repro.plan.logical import AggSpec, JoinSpec, Query
+from repro.plan.expressions import Col, Const
+from repro.plan.logical import AggSpec, Query
+from repro.plan.ops import from_query
 from repro.storage.column import Column, LogicalType
 from repro.storage.database import Database
 from repro.storage.table import Table
 
-STRATEGIES = ("interpreter", "datacentric", "hybrid", "rof", "swole")
+
+def compile_micro(query, db, strategy):
+    return compile_pipeline(from_query(query), db, strategy)
 
 
 def _assert_matches_reference(query, db):
     expected = reference.evaluate(query, db)
     session = Session()
     for strategy in STRATEGIES:
-        compiled = compile_query(query, db, strategy)
+        compiled = compile_micro(query, db, strategy)
         result = compiled.run(session)
         assert set(result.value) == set(expected), strategy
         for key in expected:
@@ -98,8 +101,8 @@ def test_grouped_count(micro_db):
 def test_results_equal_helper(micro_db):
     query = mb.q1(30)
     session = Session()
-    a = compile_query(query, micro_db, "hybrid").run(session)
-    b = compile_query(query, micro_db, "swole").run(session)
+    a = compile_micro(query, micro_db, "hybrid").run(session)
+    b = compile_micro(query, micro_db, "swole").run(session)
     assert results_equal(a, b)
 
 

@@ -1,68 +1,92 @@
-"""Tests for the C emitters, the reference engine, and the ROF strategy."""
+"""Tests for the program shapes the compiler emits per strategy and
+technique, and for the reference engine.
+
+A compiled program's ``source`` on the instrumented backend is its
+physical plan: one line per operator, tagged with the access pattern
+the strategy or technique lowers it to.
+"""
 
 import numpy as np
 import pytest
 
-from repro.codegen import compile_query
-from repro.codegen import emit
+from repro.bench.microbench import compile_forced, swole_decisions
+from repro.codegen.pipeline import compile_pipeline
+from repro.core import planner as P
 from repro.datagen import microbench as mb
-from repro.engine import Session, reference
+from repro.engine import ExecutionKnobs, Session, reference
 from repro.engine.events import RandomAccess
+from repro.engine.machine import PAPER_MACHINE
+from repro.engine.program import results_equal
+from repro.plan import passes as PS
 from repro.plan.expressions import Col, Const
 from repro.plan.logical import AggSpec, Query
+from repro.plan.ops import from_query
+
+
+def emitted(query, db, strategy):
+    return compile_pipeline(from_query(query), db, strategy).source
 
 
 class TestEmitters:
-    def test_datacentric_shape(self):
-        source = emit.emit_datacentric(mb.q1(13))
-        assert "if (r_x[i] < 13 && r_y[i] == 1)" in source
-        assert "sum += (r_a[i] * r_b[i]);" in source
+    def test_datacentric_shape(self, micro_db):
+        source = emitted(mb.q1(13), micro_db, "datacentric")
+        assert "Filter[branch] r_x[i] < 13 AND r_y[i] == 1" in source
+        assert "ScalarAgg[conditional] [sum=sum((r_a[i] * r_b[i]))]" in source
 
-    def test_hybrid_has_three_inner_loops(self):
-        source = emit.emit_hybrid(mb.q1(13))
-        assert source.count("for (j = 0;") == 3  # prepass, selvec, agg
-        assert "cmp[j]" in source and "idx[k]" in source
+    def test_hybrid_has_three_inner_loops(self, micro_db):
+        # prepass (cmp[j]), selection vector (idx[k]), gathered agg
+        source = emitted(mb.q1(13), micro_db, "hybrid")
+        assert "Filter[prepass]" in source
+        assert "ScalarAgg[gathered]" in source
 
-    def test_rof_has_prefetch_for_hash_queries(self):
-        source = emit.emit_rof(mb.q2(13))
-        assert "prefetch(" in source
+    def test_value_masking_multiplies_by_cmp(self, micro_db):
+        source = compile_forced(
+            mb.q1(13), micro_db, agg_mode=PS.VALUE_MASK
+        ).source
+        assert "Filter[prepass]" in source
+        assert "ScalarAgg[value_mask]" in source
 
-    def test_rof_no_prefetch_without_hash_table(self):
-        source = emit.emit_rof(mb.q1(13))
-        assert "prefetch(" not in source
+    def test_access_merging_uses_tmp(self, micro_db):
+        source = compile_forced(
+            mb.q3(13, "r_x"), micro_db, agg_mode=PS.VALUE_MASK
+        ).source
+        assert "merged reads: ['r_x']" in source
 
-    def test_value_masking_multiplies_by_cmp(self):
-        source = emit.emit_value_masking(mb.q1(13))
-        assert "* cmp[j];" in source
+    def test_key_masking_masks_key_and_drops_throwaway(self, micro_db):
+        source = compile_forced(
+            mb.q2(13), micro_db, agg_mode=PS.KEY_MASK
+        ).source
+        assert "GroupAgg[key_mask] key[r_c]" in source
 
-    def test_access_merging_uses_tmp(self):
-        source = emit.emit_value_masking(mb.q3(13, "r_x"), merged=["r_x"])
-        assert "tmp[j]" in source and "merged access" in source
-
-    def test_key_masking_masks_key_and_drops_throwaway(self):
-        source = emit.emit_key_masking(mb.q2(13))
-        assert "NULL_KEY" in source
-        assert "ht_drop(ht, NULL_KEY)" in source
-
-    def test_bitmap_semijoin_modes(self):
+    def test_bitmap_semijoin_modes(self, micro_db):
         query = mb.q4(10, 20)
-        unconditional = emit.emit_bitmap_semijoin(query, True)
-        selective = emit.emit_bitmap_semijoin(query, False)
-        assert "unconditional write" in unconditional
-        assert "if (" in selective
+        _, decisions = swole_decisions(query, micro_db, PAPER_MACHINE)
+        for mode, tag in (
+            (P.BITMAP_MASK, "BitmapBuild[mask]"),
+            (P.BITMAP_OFFSETS, "BitmapBuild[offsets]"),
+        ):
+            modes = {join: mode for join in decisions.join_modes}
+            source = compile_forced(
+                query, micro_db, join_modes=modes
+            ).source
+            assert tag in source
+            assert "BitmapSemiProbe r_fk via fkindex" in source
 
-    def test_eager_aggregation_inverts_predicate(self):
-        source = emit.emit_eager_aggregation(mb.q5(13))
-        assert "!(" in source  # the inverted deletion predicate
-        assert "ht_delete" in source
+    def test_eager_aggregation_inverts_predicate(self, micro_db):
+        source = compile_forced(
+            mb.q5(13), micro_db, groupjoin_mode=P.EAGER
+        ).source
+        assert "EagerAggregate key=r_fk (cleanup scan over S)" in source
 
-    def test_build_prefix_covers_join(self):
-        source = emit.emit_datacentric(mb.q4(10, 20))
-        assert "ht_insert(ht, s_pk[i]);" in source
+    def test_build_prefix_covers_join(self, micro_db):
+        source = emitted(mb.q4(10, 20), micro_db, "datacentric")
+        assert "pipeline 'build S' over S" in source
+        assert "SemiHashBuild[branch] keys=s_pk" in source
+        assert "HashSemiProbe[branch] r_fk" in source
 
-    def test_interpreter_mentions_iterators(self):
-        source = emit.emit_interpreter(mb.q5(13))
-        assert "plan->next()" in source and "HashJoin" in source
+    def test_interpreter_mentions_iterators(self, micro_db):
+        source = emitted(mb.q5(13), micro_db, "interpreter")
+        assert "Volcano per-tuple dispatch" in source
 
 
 class TestReferenceEngine:
@@ -98,9 +122,21 @@ class TestReferenceEngine:
 
 
 class TestRofStrategy:
+    """ROF's staging-point prefetching (paper §II-A3) is the
+    ``ht_prefetch`` execution knob: hash-table accesses are priced as
+    software-prefetched, hiding part of their latency."""
+
+    @staticmethod
+    def run_hybrid(query, db, session):
+        compiled = compile_pipeline(from_query(query), db, "hybrid")
+        return compiled.run(session)
+
+    @staticmethod
+    def prefetching(**kwargs):
+        return Session(knobs=ExecutionKnobs(ht_prefetch=True), **kwargs)
+
     def test_prefetch_marked_on_hash_accesses(self, micro_db):
-        compiled = compile_query(mb.q2(50), micro_db, "rof")
-        result = compiled.run(Session())
+        result = self.run_hybrid(mb.q2(50), micro_db, self.prefetching())
         ht_events = [
             e
             for _, e, _ in result.report.events
@@ -110,8 +146,11 @@ class TestRofStrategy:
 
     def test_prefetch_flag_restored_after_run(self, micro_db):
         session = Session()
-        compile_query(mb.q2(50), micro_db, "rof").run(session)
+        self.run_hybrid(mb.q2(50), micro_db, session)
         assert session.ht_prefetch is False
+        prefetching = self.prefetching()
+        self.run_hybrid(mb.q2(50), micro_db, prefetching)
+        assert prefetching.ht_prefetch is True
 
     def test_rof_cheaper_than_hybrid_on_hash_heavy_query(self):
         config = mb.MicrobenchConfig(
@@ -120,18 +159,17 @@ class TestRofStrategy:
         db = mb.generate(config)
         from repro.bench.microbench import scaled_machine
 
-        session = Session(machine=scaled_machine(config))
-        hybrid = compile_query(mb.q2(80), db, "hybrid").run(session)
-        rof = compile_query(mb.q2(80), db, "rof").run(session)
+        machine = scaled_machine(config)
+        hybrid = self.run_hybrid(mb.q2(80), db, Session(machine=machine))
+        rof = self.run_hybrid(
+            mb.q2(80), db, self.prefetching(machine=machine)
+        )
         assert rof.cycles < hybrid.cycles  # prefetching hides ht latency
 
     def test_rof_same_answers(self, micro_db):
-        session = Session()
         for query in (mb.q1(40), mb.q4(40, 60), mb.q5(40)):
-            a = compile_query(query, micro_db, "hybrid").run(session)
-            b = compile_query(query, micro_db, "rof").run(session)
-            from repro.engine.program import results_equal
-
+            a = self.run_hybrid(query, micro_db, Session())
+            b = self.run_hybrid(query, micro_db, self.prefetching())
             assert results_equal(a, b)
 
 

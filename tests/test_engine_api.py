@@ -1,4 +1,4 @@
-"""The Engine facade, session knobs, and deprecated entry points."""
+"""The Engine facade, session knobs, and removed entry points."""
 
 import warnings
 
@@ -10,6 +10,7 @@ from repro.engine import Engine, ExecutionKnobs, Session
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import results_equal
 from repro.errors import ReproError
+from repro.tpch import logical_plan
 
 
 @pytest.fixture()
@@ -35,9 +36,13 @@ class TestEngineCompile:
         assert again is engine.compile(mb.q1(30))
 
     def test_tpch_by_name(self, tpch_db):
+        # Names resolve through the plan registry; the engine itself
+        # takes operator trees only.
         engine = Engine(db=tpch_db)
-        result = engine.execute("Q6", "hybrid")
+        result = engine.execute(logical_plan("Q6"), "hybrid")
         assert result.value
+        with pytest.raises(ReproError, match="logical_plan"):
+            engine.execute("Q6", "hybrid")
 
     def test_invalidate_forces_recompile(self, engine):
         first = engine.compile(mb.q2(30))
@@ -73,7 +78,7 @@ class TestEngineExecute:
     def test_strategies_agree_through_engine(self, engine):
         results = [
             engine.execute(mb.q1(30), strategy)
-            for strategy in ("datacentric", "hybrid", "rof", "swole")
+            for strategy in ("interpreter", "datacentric", "hybrid", "swole")
         ]
         for other in results[1:]:
             assert results_equal(results[0], other)
@@ -110,20 +115,31 @@ class TestSessionApi:
         assert session.knobs.ht_prefetch is False
 
     def test_rof_prefetch_does_not_leak(self, engine):
-        # ROF partials toggle ht_prefetch inside worker clones; the
+        # Worker clones of a prefetching session run the morsels; the
         # engine-level default knobs must come out untouched.
-        engine.execute(mb.q4(50, 50), "rof", workers=4)
+        session = engine.session(workers=4)
+        session.knobs.ht_prefetch = True
+        result = engine.execute(
+            mb.q4(50, 50), "hybrid", workers=4, session=session,
+            backend="instrumented",
+        )
+        assert result.metrics.morsels > 1
         assert engine.knobs.ht_prefetch is False
 
 
 class TestRemovedWrappers:
     def test_deprecated_wrappers_are_gone(self):
-        # The pre-1.2 module-level compile_query / compile_swole shims
-        # were removed; Engine.compile is the supported path.
-        assert not hasattr(repro, "compile_query")
-        assert not hasattr(repro, "compile_swole")
-        assert "compile_query" not in repro.__all__
-        assert "compile_swole" not in repro.__all__
+        # The one compiler is the staged pipeline, reached through
+        # Engine.compile; no module-level compile wrappers exist.
+        import repro.codegen
+
+        assert not [n for n in repro.__all__ if n.startswith("compile")]
+        assert not [n for n in dir(repro) if n.startswith("compile")]
+        assert repro.codegen.__all__ == [
+            "STRATEGIES",
+            "available_strategies",
+            "compile_pipeline",
+        ]
 
     def test_engine_compile_replaces_wrappers(self, micro_db):
         engine = Engine(db=micro_db)

@@ -10,13 +10,12 @@ as ``workers=1``.
 
 import pytest
 
+from repro.codegen import STRATEGIES
 from repro.datagen import microbench as mb
 from repro.engine import Engine, ExecutionKnobs, MorselExecutor
 from repro.engine.executor import MIN_MORSEL_ROWS
 from repro.engine.program import results_equal
-from repro.tpch import query_names
-
-STRATEGIES = ("datacentric", "hybrid", "rof", "swole")
+from repro.tpch import logical_plan, query_names
 
 MICRO_QUERIES = {
     "q1-mul": lambda: mb.q1(30, "mul"),
@@ -75,14 +74,12 @@ class TestMicrobenchEquivalence:
 
 
 class TestTpchEquivalence:
-    # hand-coded TPC-H programs register the Figure 6 series (no rof)
-    @pytest.mark.parametrize(
-        "strategy", ("interpreter", "datacentric", "hybrid", "swole")
-    )
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("name", query_names())
     def test_parallel_matches_serial(self, tpch_engine, strategy, name):
-        serial = tpch_engine.execute(name, strategy, workers=1)
-        parallel = tpch_engine.execute(name, strategy, workers=4)
+        plan = logical_plan(name)
+        serial = tpch_engine.execute(plan, strategy, workers=1)
+        parallel = tpch_engine.execute(plan, strategy, workers=4)
         assert results_equal(serial, parallel)
 
 

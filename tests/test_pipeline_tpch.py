@@ -1,47 +1,78 @@
-"""The staged lowering pipeline vs the hand-coded TPC-H oracles.
+"""The staged lowering pipeline on the paper's TPC-H queries.
 
-Q1/Q3/Q6/Q14 now compile from logical operator trees through the
-strategy pass framework; the hand-coded ``tpch/qXX.py`` strategy
-functions are demoted to equivalence oracles. The central invariant:
-for every pipeline query and every strategy, the generic compiler
-produces *byte-identical* results to both the oracle program and the
-NumPy reference, at a simulated cost within noise of the oracle's.
+Every TPC-H query compiles from its logical operator tree through the
+strategy pass framework. The central invariant: for every query and
+every strategy, the compiled program answers *byte-identically* to the
+plain-NumPy reference, at a simulated cost within a band of the cycles
+the hand-coded strategy programs measured before the pipeline replaced
+them (frozen in ``tests/data/oracle_cycles.json`` at SF 0.002).
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.bench.microbench import swole_decisions, technique_labels
+from repro.codegen.pipeline import compile_pipeline
+from repro.core.planner import plan_query
 from repro.datagen import microbench as mb
-from repro.engine import Engine, ExecutionKnobs, Session
+from repro.engine import Engine, ExecutionKnobs, Session, reference
 from repro.engine.program import results_equal
 from repro.plan.ops import from_query, plan_fingerprint
 from repro.tpch import (
     PIPELINE_QUERIES,
     STRATEGIES,
-    compile_tpch,
     logical_plan,
-    oracle_tpch,
+    plans,
     reference_result,
 )
+from repro.tpch.base import QUERY_MODULES
 
 #: The generic compiler must land within this cost band of the oracle —
 #: wide enough for bookkeeping differences (selection-vector charging,
 #: merged prepass masks), tight enough to catch a lost technique.
 COST_BAND = (0.70, 1.30)
 
+#: Simulated cycles of the hand-coded strategy programs (decoded
+#: scans, fresh Session, the paper machine) on the SF 0.002 ``tpch_db``
+#: fixture: query -> strategy -> cycles.
+ORACLE_CYCLES = json.loads(
+    (Path(__file__).parent / "data" / "oracle_cycles.json").read_text()
+)
+
+
+def _compile(name, strategy, db, **kwargs):
+    return compile_pipeline(logical_plan(name), db, strategy, **kwargs)
+
+
+def _assert_byte_identical(value, expected, cell):
+    assert set(value) == set(expected), cell
+    for key, want in expected.items():
+        got = value[key]
+        if isinstance(want, np.ndarray):
+            got = np.asarray(got)
+            assert got.dtype == want.dtype, (cell, key, got.dtype)
+            assert got.shape == want.shape, (cell, key)
+            assert got.tobytes() == want.tobytes(), (cell, key)
+        else:
+            assert type(got) is type(want) and got == want, (cell, key)
+
 
 @pytest.mark.parametrize("name", PIPELINE_QUERIES)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 class TestPipelineVsOracle:
     def test_results_byte_identical(self, tpch_db, name, strategy):
-        pipe = compile_tpch(name, strategy, tpch_db).run(Session())
-        oracle = oracle_tpch(name, strategy, tpch_db).run(Session())
-        assert results_equal(pipe, oracle), (name, strategy)
+        pipe = _compile(name, strategy, tpch_db).run(Session())
+        _assert_byte_identical(
+            pipe.value, reference_result(name, tpch_db), (name, strategy)
+        )
 
     def test_results_match_reference(self, tpch_db, name, strategy):
         expected = reference_result(name, tpch_db)
-        result = compile_tpch(name, strategy, tpch_db).run(Session())
+        result = _compile(name, strategy, tpch_db).run(Session())
         assert set(result.value) == set(expected)
         for key in expected:
             lhs, rhs = expected[key], result.value[key]
@@ -58,11 +89,10 @@ class TestPipelineVsOracle:
         # The oracles always read decoded values, so the band compares
         # like with like: encoding off. The compressed access path's
         # cycle advantage is pinned separately below.
-        pipe = compile_tpch(
+        pipe = _compile(
             name, strategy, tpch_db, encoding="off"
         ).run(Session())
-        oracle = oracle_tpch(name, strategy, tpch_db).run(Session())
-        ratio = pipe.cycles / oracle.cycles
+        ratio = pipe.cycles / ORACLE_CYCLES[name][strategy]
         assert COST_BAND[0] <= ratio <= COST_BAND[1], (
             name,
             strategy,
@@ -77,8 +107,8 @@ class TestPipelineVsOracle:
         # the late-materialization decode is the only marginal term.
         # Access-bound kernels (Q6 swole) win outright — pinned by the
         # compression bench.
-        encoded = compile_tpch(name, strategy, tpch_db).run(Session())
-        decoded = compile_tpch(
+        encoded = _compile(name, strategy, tpch_db).run(Session())
+        decoded = _compile(
             name, strategy, tpch_db, encoding="off"
         ).run(Session())
         assert results_equal(encoded, decoded), (name, strategy)
@@ -93,8 +123,8 @@ class TestPipelineVsOracle:
         # compressed access path must beat the decoded one outright.
         if name != "Q6" or strategy != "swole":
             pytest.skip("access-bound headline cell only")
-        encoded = compile_tpch(name, strategy, tpch_db).run(Session())
-        decoded = compile_tpch(
+        encoded = _compile(name, strategy, tpch_db).run(Session())
+        decoded = _compile(
             name, strategy, tpch_db, encoding="off"
         ).run(Session())
         assert encoded.cycles < decoded.cycles * 0.85, (
@@ -106,12 +136,12 @@ class TestGroupedOrdering:
     @pytest.mark.parametrize("name", ("Q1", "Q3"))
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_grouped_keys_ascending(self, tpch_db, name, strategy):
-        result = compile_tpch(name, strategy, tpch_db).run(Session())
+        result = _compile(name, strategy, tpch_db).run(Session())
         keys = np.asarray(result.value["keys"])
         assert np.all(keys[:-1] < keys[1:]), (name, strategy)
 
     def test_q1_count_column_last(self, tpch_db):
-        result = compile_tpch("Q1", "swole", tpch_db).run(Session())
+        result = _compile("Q1", "swole", tpch_db).run(Session())
         counts = result.value["aggs"][:, 5]
         shipdate = tpch_db.table("lineitem")["l_shipdate"]
         assert int(counts.sum()) == int((shipdate <= 10471).sum())
@@ -120,24 +150,41 @@ class TestGroupedOrdering:
 class TestCompileRouting:
     def test_pipeline_queries_carry_ir_notes(self, tpch_db):
         for name in PIPELINE_QUERIES:
-            compiled = compile_tpch(name, "swole", tpch_db)
+            compiled = _compile(name, "swole", tpch_db)
             assert compiled.notes["fingerprint"].startswith("ir:")
             assert "explain" in compiled.notes
 
-    def test_no_hand_coded_program_on_execution_path(self, tpch_db):
-        # Every TPC-H name compiles through the staged pipeline; the
-        # hand-coded modules are reachable only via oracle_tpch.
-        for name in ("Q4", "Q5", "Q13", "Q19"):
-            compiled = compile_tpch(name, "swole", tpch_db)
-            assert compiled.notes["fingerprint"].startswith("ir:")
+    def test_no_hand_coded_program_on_execution_path(
+        self, tpch_db, micro_db
+    ):
+        # The engine has one compiler: TPC-H trees and legacy
+        # microbench queries alike come out of the staged pipeline, on
+        # both backends.
+        for backend in ("instrumented", "vectorized"):
+            with Engine(db=tpch_db, backend=backend) as engine:
+                for name in ("Q4", "Q5", "Q13", "Q19"):
+                    compiled = engine.compile(logical_plan(name), "swole")
+                    assert compiled.notes["fingerprint"].startswith("ir:")
+            with Engine(db=micro_db, backend=backend) as engine:
+                for strategy in STRATEGIES:
+                    compiled = engine.compile(mb.q4(50, 50), strategy)
+                    assert "explain" in compiled.notes
 
-    def test_oracle_stays_hand_coded(self, tpch_db):
+    def test_oracle_stays_hand_coded(self):
+        # The answer oracle is plain NumPy written against the columns:
+        # it shares no code with the compiler it checks.
+        compiler = ("repro.codegen", "repro.plan", "repro.engine")
         for name in ("Q1", "Q4", "Q13"):
-            oracle = oracle_tpch(name, "swole", tpch_db)
-            assert "fingerprint" not in oracle.notes
+            module = QUERY_MODULES[name]
+            origins = {
+                getattr(value, "__module__", None)
+                or getattr(value, "__name__", "")
+                for value in vars(module).values()
+            }
+            assert not [o for o in origins if o.startswith(compiler)]
 
     def test_fingerprint_matches_plan(self, tpch_db):
-        compiled = compile_tpch("Q6", "hybrid", tpch_db)
+        compiled = _compile("Q6", "hybrid", tpch_db)
         assert compiled.notes["fingerprint"] == plan_fingerprint(
             logical_plan("Q6")
         )
@@ -146,7 +193,7 @@ class TestCompileRouting:
 class TestExplain:
     def test_explain_shows_all_three_stages(self, tpch_db):
         engine = Engine(db=tpch_db)
-        text = engine.explain("Q3", "swole")
+        text = engine.explain(logical_plan("Q3"), "swole")
         assert "== Logical plan ==" in text
         assert "== Passes ==" in text
         assert "== Physical plan ==" in text
@@ -154,14 +201,14 @@ class TestExplain:
 
     def test_explain_shows_cost_estimates(self, tpch_db):
         engine = Engine(db=tpch_db)
-        text = engine.explain("Q3", "swole")
+        text = engine.explain(logical_plan("Q3"), "swole")
         assert "est cycles" in text
         assert "bitmap" in text
         engine.shutdown()
 
     def test_explain_decisions_line(self, tpch_db):
         engine = Engine(db=tpch_db)
-        text = engine.explain("Q1", "swole")
+        text = engine.explain(logical_plan("Q1"), "swole")
         assert "decisions:" in text
         # The §III-B pass weighs hybrid vs key masking vs value masking
         # and prints all three estimates before its pick.
@@ -175,11 +222,10 @@ class TestExplain:
         self, tpch_db, name
     ):
         engine = Engine(db=tpch_db)
-        text = engine.explain(name, "swole")
+        text = engine.explain(logical_plan(name), "swole")
         assert "== Logical plan ==" in text
         assert "== Passes ==" in text
         assert "== Physical plan ==" in text
-        assert not text.startswith("// hand-coded")
         engine.shutdown()
 
     def test_explain_accepts_logical_plans(self, tpch_db):
@@ -193,9 +239,11 @@ class TestExplain:
 class TestEngineIntegration:
     def test_pipeline_queries_cache_by_ir(self, tpch_db):
         engine = Engine(db=tpch_db)
-        by_name = engine.compile("Q6", "swole")
-        by_plan = engine.compile(logical_plan("Q6"), "swole")
-        assert by_name is by_plan  # same fingerprint -> same cache slot
+        # Two separately built copies of one tree: same fingerprint ->
+        # same cache slot.
+        by_lookup = engine.compile(logical_plan("Q6"), "swole")
+        by_builder = engine.compile(plans.q6_plan(), "swole")
+        assert by_lookup is by_builder
         engine.shutdown()
 
     def test_parallel_run_matches_serial(self, tpch_db):
@@ -207,8 +255,9 @@ class TestEngineIntegration:
             knobs=ExecutionKnobs(morsel_rows=2048),
         )
         for name in ("Q1", "Q6"):
-            serial = engine.execute(name, "swole", workers=1)
-            parallel = engine.execute(name, "swole", workers=4)
+            plan = logical_plan(name)
+            serial = engine.execute(plan, "swole", workers=1)
+            parallel = engine.execute(plan, "swole", workers=4)
             assert parallel.metrics.workers == 4
             assert results_equal(serial, parallel), name
         engine.shutdown()
@@ -216,30 +265,37 @@ class TestEngineIntegration:
 
 class TestMicroQueriesThroughPipeline:
     """from_query lifts legacy microbench queries onto the operator
-    tree; the pipeline must agree with the strategy codegen there too."""
+    tree; the pipeline must agree with the independent reference
+    evaluator and with the SWOLE planner there too."""
 
     @pytest.mark.parametrize(
         "query", [mb.q1(30), mb.q2(30), mb.q4(50, 50)], ids=["q1", "q2", "q4"]
     )
     @pytest.mark.parametrize("strategy", ("datacentric", "hybrid"))
     def test_matches_codegen(self, micro_db, query, strategy):
-        from repro.codegen import compile_query
-        from repro.codegen.pipeline import compile_pipeline
-
         pipe = compile_pipeline(from_query(query), micro_db, strategy)
-        oracle = compile_query(query, micro_db, strategy)
-        assert results_equal(pipe.run(Session()), oracle.run(Session()))
+        expected = reference.evaluate(query, micro_db)
+        result = pipe.run(Session()).value
+        assert set(result) == set(expected)
+        for key, want in expected.items():
+            assert np.array_equal(np.asarray(result[key]), want), key
 
     @pytest.mark.parametrize(
         "query", [mb.q1(30), mb.q2(30), mb.q4(50, 50)], ids=["q1", "q2", "q4"]
     )
     def test_matches_swole_planner(self, micro_db, query):
-        from repro.codegen.pipeline import compile_pipeline
-        from repro.core.swole import compile_swole
-
+        # The passes call the planner's choose_* helpers, so the
+        # pipeline picks exactly the techniques plan_query picks.
+        machine = repro.PAPER_MACHINE
+        _, decisions = swole_decisions(query, micro_db, machine)
+        assert technique_labels(decisions) == plan_query(
+            query, micro_db, machine
+        ).describe()
         pipe = compile_pipeline(from_query(query), micro_db, "swole")
-        oracle = compile_swole(query, micro_db)
-        assert results_equal(pipe.run(Session()), oracle.run(Session()))
+        expected = reference.evaluate(query, micro_db)
+        result = pipe.run(Session()).value
+        for key, want in expected.items():
+            assert np.array_equal(np.asarray(result[key]), want), key
 
 
 class TestStrategyRegistry:
@@ -248,32 +304,4 @@ class TestStrategyRegistry:
         assert isinstance(names, list)
         assert all(isinstance(n, str) for n in names)
         assert "swole" in names
-
-    def test_register_strategy_rejects_silent_overwrite(self):
-        from repro.codegen.base import register_strategy
-        from repro.errors import CodegenError
-
-        with pytest.raises(CodegenError, match="already registered"):
-
-            @register_strategy("hybrid")
-            def shadow(query, db):  # pragma: no cover - never called
-                raise AssertionError
-
-    def test_register_strategy_replace_warns(self):
-        from repro.codegen.base import (
-            _REGISTRY,
-            get_strategy,
-            register_strategy,
-        )
-
-        original = get_strategy("hybrid")
-        try:
-            with pytest.warns(RuntimeWarning, match="overwriting"):
-
-                @register_strategy("hybrid", replace=True)
-                def shadow(query, db):  # pragma: no cover - never called
-                    raise AssertionError
-
-            assert get_strategy("hybrid") is shadow
-        finally:
-            _REGISTRY["hybrid"] = original
+        assert tuple(names) == STRATEGIES

