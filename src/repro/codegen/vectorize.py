@@ -13,11 +13,17 @@ would emit, minus the simulation harness:
 
 - predicates become boolean-mask expressions honoring the same
   value-mask / key-mask semantics the passes decided;
-- hash semijoins/joins become ``np.searchsorted`` membership against
-  the build side's sorted unique keys;
-- grouped aggregation becomes argsort + ``np.add.reduceat`` segment
-  sums (int64-exact, so results match the hash-table path bit for
-  bit);
+- hash builds become key sets (sorted unique keys plus a
+  direct-address bitmap when compact) and hash probes test the raw FK
+  column against them (``_key_set`` / ``_member``);
+- grouped aggregation becomes one ``_group`` call: counting over dense
+  keys (one ``np.add.at`` per aggregate), argsort + ``np.add.reduceat``
+  over sparse ones; ``count`` aggregates pass ``None`` and take the
+  group sizes (int64-exact, so results match the hash-table path bit
+  for bit);
+- an arithmetic subtree used more than once in a kernel is computed
+  once into a temporary (per data variable: ``v`` or a ``sub*``
+  subset);
 - FK-index offset arrays, InSet constant tables, build-side column
   dicts, and non-inlinable expressions are bound into the kernel's
   globals at compile time (``_FK*`` / ``_C*`` / ``_T*`` / ``_E*``).
@@ -35,7 +41,7 @@ strategy cells, serial and morsel-parallel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -114,34 +120,98 @@ class _Env:
         return name
 
 
-def compile_expr(expr: Expr, data: str, env: _Env) -> str:
+class _Temps:
+    """Per-kernel common-subexpression table: an ``Arith`` subtree in
+    ``shared`` is computed once per data variable (``v`` or a ``sub*``
+    subset) into a temporary that later occurrences reuse."""
+
+    def __init__(
+        self,
+        shared: FrozenSet[Arith],
+        out: Callable[[str], None],
+        name: Callable[[str], str],
+    ) -> None:
+        self.shared = shared
+        self.names: Dict[Tuple[Arith, str], str] = {}
+        self._out = out
+        self._name = name
+
+    def hoist(self, key: Tuple[Arith, str], src: str) -> str:
+        name = self._name("e")
+        self._out(f"{name} = {src}")
+        self.names[key] = name
+        return name
+
+
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _shared_arith(node: object) -> FrozenSet[Arith]:
+    """``Arith`` subtrees occurring more than once in the expressions
+    reachable from ``node`` (physical ops, aggregates, expressions).
+    The children of a repeated subtree are not counted again: they are
+    computed once, inside its temporary."""
+    seen: set = set()
+    shared: set = set()
+
+    def visit(item: object) -> None:
+        kind = type(item)
+        if kind in _SCALARS:
+            return  # names, modes and constants hold no expression
+        if kind is Arith:
+            if item in seen:
+                shared.add(item)
+                return
+            seen.add(item)
+        if kind is tuple or kind is list:
+            for child in item:
+                visit(child)
+        elif hasattr(kind, "__dataclass_fields__"):
+            for child in vars(item).values():
+                visit(child)
+
+    visit(node)
+    return frozenset(shared)
+
+
+def compile_expr(
+    expr: Expr, data: str, env: _Env, temps: Optional[_Temps] = None
+) -> str:
     """Python source for ``expr`` evaluated over the columns of the
     dict variable named ``data``; falls back to a bound expression
-    object for node types without an inline form."""
+    object for node types without an inline form. With ``temps``,
+    repeated arithmetic is emitted once into a kernel temporary."""
     if isinstance(expr, Col):
         return f"{data}[{expr.name!r}]"
     if isinstance(expr, Const):
         return f"np.int64({expr.value})"
     if isinstance(expr, Compare):
-        left = compile_expr(expr.left, data, env)
-        right = compile_expr(expr.right, data, env)
+        left = compile_expr(expr.left, data, env, temps)
+        right = compile_expr(expr.right, data, env, temps)
         return f"({left} {expr.op} {right})"
     if isinstance(expr, And):
         return "(" + " & ".join(
-            compile_expr(term, data, env) for term in expr.terms
+            compile_expr(term, data, env, temps) for term in expr.terms
         ) + ")"
     if isinstance(expr, Or):
         return "(" + " | ".join(
-            compile_expr(term, data, env) for term in expr.terms
+            compile_expr(term, data, env, temps) for term in expr.terms
         ) + ")"
     if isinstance(expr, Arith):
-        left = compile_expr(expr.left, data, env)
-        right = compile_expr(expr.right, data, env)
+        key = (expr, data)
+        if temps is not None and key in temps.names:
+            return temps.names[key]
+        left = compile_expr(expr.left, data, env, temps)
+        right = compile_expr(expr.right, data, env, temps)
         if expr.op == "div":
-            return f"_div({left}, {right})"
-        return f"(_i64({left}) {_ARITH_SYMBOL[expr.op]} _i64({right}))"
+            src = f"_div({left}, {right})"
+        else:
+            src = f"(_i64({left}) {_ARITH_SYMBOL[expr.op]} _i64({right}))"
+        if temps is not None and expr in temps.shared:
+            return temps.hoist(key, src)
+        return src
     if isinstance(expr, InSet):
-        child = compile_expr(expr.child, data, env)
+        child = compile_expr(expr.child, data, env, temps)
         table = env.bind(
             "_C", np.asarray(expr.values, dtype=np.int64)
         )
@@ -170,6 +240,7 @@ class _KernelEmitter:
         self.has_result = False
         self.finalize = None
         self._tmp = 0
+        self.temps = _Temps(_shared_arith(pipe.ops), self.out, self.name)
 
     # -- small emission helpers -----------------------------------------
 
@@ -179,6 +250,10 @@ class _KernelEmitter:
     def name(self, stem: str) -> str:
         self._tmp += 1
         return f"{stem}{self._tmp}"
+
+    def expr(self, expr: Expr, data: str) -> str:
+        """``compile_expr`` with this kernel's shared temporaries."""
+        return compile_expr(expr, data, self.env, self.temps)
 
     def selected(self, src: str) -> str:
         """``src`` narrowed to the live selection (no-op without one)."""
@@ -201,10 +276,18 @@ class _KernelEmitter:
         self.out(f"{off} = {full}[lo:lo + n]")
         return off
 
-    def keys_i64(self, column: str) -> str:
-        """Selected key values, widened to int64 (both access styles
-        of ``_read_keys`` produce the selected values in row order)."""
-        return f"{self.selected(f'v[{column!r}]')}.astype(np.int64)"
+    def key_set(self, column: str) -> str:
+        """Build-side key set over the selected key values (both access
+        styles of ``_read_keys`` produce them in row order)."""
+        return f"_key_set({self.selected(f'v[{column!r}]')})"
+
+    def member(self, op) -> str:
+        """Probe ``op.fk_column`` against ``op.state``'s key set."""
+        hit = self.name("hit")
+        self.out(
+            f"{hit} = _member(v[{op.fk_column!r}], state[{op.state!r}])"
+        )
+        return hit
 
     def carried_snapshot(self, carry: Tuple[str, ...]) -> str:
         """Full-length payload columns for a build-side state entry."""
@@ -213,11 +296,26 @@ class _KernelEmitter:
         )
         return "{" + items + "}"
 
-    def agg_delta(self, agg, data: str, count_len: str) -> str:
+    def agg_delta(self, agg, data: str) -> str:
+        """An aggregate's int64 delta column; ``None`` for a count,
+        which the grouping runtime fills from its per-group row
+        counts."""
         if agg.func == "count":
-            return f"np.ones({count_len}, dtype=np.int64)"
-        src = compile_expr(agg.expr, data, self.env)
-        return f"np.asarray({src}, dtype=np.int64)"
+            return "None"
+        return f"np.asarray({self.expr(agg.expr, data)}, dtype=np.int64)"
+
+    def group_deltas(self, aggregates, data: str) -> str:
+        """``_group``'s delta list, one named column per summed
+        aggregate."""
+        names = []
+        for agg in aggregates:
+            delta = self.agg_delta(agg, data)
+            if delta != "None":
+                name = self.name("d")
+                self.out(f"{name} = {delta}")
+                delta = name
+            names.append(delta)
+        return ", ".join(names)
 
     # -- operators -------------------------------------------------------
 
@@ -239,32 +337,26 @@ class _KernelEmitter:
             conj for conj in op.conjuncts if conj not in view_conjs
         ]
         for conj in view_conjs:
-            self.narrow(_bool(compile_expr(conj, "v", self.env)))
+            self.narrow(_bool(self.expr(conj, "v")))
         if carried_conjs:
             full = self.name("full")
             self.out(f"{full} = dict(v)")
             self.out(f"{full}.update(carried)")
             for conj in carried_conjs:
-                self.narrow(_bool(compile_expr(conj, full, self.env)))
+                self.narrow(_bool(self.expr(conj, full)))
 
     def op_semihash_build(self, op: SemiHashBuild) -> None:
-        self.out(
-            f"state[{op.state!r}] = "
-            f"{{'keys': np.unique({self.keys_i64(op.key_column)})}}"
-        )
+        self.out(f"state[{op.state!r}] = {self.key_set(op.key_column)}")
 
     def op_join_build(self, op: JoinBuild) -> None:
         self.out(
             f"state[{op.state!r}] = {{"
-            f"'keys': np.unique({self.keys_i64(op.key_column)}), "
+            f"**{self.key_set(op.key_column)}, "
             f"'carried': {self.carried_snapshot(op.carry)}, 'rows': n}}"
         )
 
     def op_group_build(self, op: GroupBuild) -> None:
-        self.out(
-            f"state[{op.state!r}] = "
-            f"{{'keys': np.unique({self.keys_i64(op.key_column)})}}"
-        )
+        self.out(f"state[{op.state!r}] = {self.key_set(op.key_column)}")
 
     def op_bitmap_build(self, op: BitmapBuild) -> None:
         mask = "mask.copy()" if self.has_mask else "np.ones(n, dtype=bool)"
@@ -274,11 +366,7 @@ class _KernelEmitter:
         )
 
     def op_hash_semi_probe(self, op: HashSemiProbe) -> None:
-        hit = self.name("hit")
-        self.out(
-            f"{hit} = _member(v[{op.fk_column!r}].astype(np.int64), "
-            f"state[{op.state!r}]['keys'])"
-        )
+        hit = self.member(op)
         self.narrow(f"~{hit}" if op.negate else hit)
 
     def op_bitmap_semi_probe(self, op: BitmapSemiProbe) -> None:
@@ -287,7 +375,7 @@ class _KernelEmitter:
 
     def op_column_materialize(self, op: ColumnMaterialize) -> None:
         entry = self.name("entry")
-        src = compile_expr(op.expr, "v", self.env)
+        src = self.expr(op.expr, "v")
         self.out(
             f"{entry} = state.setdefault("
             f"{op.state!r}, {{'columns': {{}}, 'rows': n}})"
@@ -311,12 +399,7 @@ class _KernelEmitter:
             )
 
     def op_hash_join_carry_probe(self, op: HashJoinCarryProbe) -> None:
-        hit = self.name("hit")
-        self.out(
-            f"{hit} = _member(v[{op.fk_column!r}].astype(np.int64), "
-            f"state[{op.state!r}]['keys'])"
-        )
-        self.narrow(hit)
+        self.narrow(self.member(op))
         off = self.fk_offsets_slice(op.fk_column)
         for column in op.carry:
             self.out(
@@ -345,7 +428,7 @@ class _KernelEmitter:
 
     def op_multi_bitmap_build(self, op: MultiBitmapBuild) -> None:
         masks = ", ".join(
-            _bool(compile_expr(bp, "v", self.env)) for bp in op.disjuncts
+            _bool(self.expr(bp, "v")) for bp in op.disjuncts
         )
         self.out(
             f"state[{op.state!r}] = {{'masks': [{masks}], 'rows': n}}"
@@ -364,8 +447,8 @@ class _KernelEmitter:
         items = ", ".join(f"{c!r}: {table}[{c!r}][{off}]" for c in build_cols)
         self.out(f"{rows} = {{{items}}}")
         arms = " | ".join(
-            f"({_bool(compile_expr(bp, rows, self.env))}"
-            f" & {_bool(compile_expr(pp, 'v', self.env))})"
+            f"({_bool(self.expr(bp, rows))}"
+            f" & {_bool(self.expr(pp, 'v'))})"
             for bp, pp in op.disjuncts
         )
         self.narrow(f"({arms})")
@@ -376,7 +459,7 @@ class _KernelEmitter:
         self.out(f"{bitmaps} = state[{op.state!r}]['masks']")
         arms = " | ".join(
             f"({bitmaps}[{i}][{off}]"
-            f" & {_bool(compile_expr(pp, 'v', self.env))})"
+            f" & {_bool(self.expr(pp, 'v'))})"
             for i, (_, pp) in enumerate(op.disjuncts)
         )
         self.narrow(f"({arms})")
@@ -422,15 +505,11 @@ class _KernelEmitter:
             )
             if c in self.view_cols
         ]
-        hit, smask, keys, sub = (
-            self.name("hit"),
+        hit = self.member(op)
+        smask, keys, sub = (
             self.name("smask"),
             self.name("keys"),
             self.name("sub"),
-        )
-        self.out(
-            f"{hit} = _member(v[{op.fk_column!r}].astype(np.int64), "
-            f"state[{op.state!r}]['keys'])"
         )
         self.out(
             f"{smask} = mask & {hit}" if self.has_mask else f"{smask} = {hit}"
@@ -438,10 +517,7 @@ class _KernelEmitter:
         self.out(f"{keys} = v[{op.fk_column!r}][{smask}].astype(np.int64)")
         items = ", ".join(f"{c!r}: v[{c!r}][{smask}]" for c in base_cols)
         self.out(f"{sub} = {{{items}}}")
-        deltas = ", ".join(
-            self.agg_delta(agg, sub, f"{keys}.shape[0]")
-            for agg in op.aggregates
-        )
+        deltas = ", ".join(self.agg_delta(agg, sub) for agg in op.aggregates)
         self.out(f"result = _group({keys}, [{deltas}])")
         self.has_result = True
 
@@ -485,7 +561,7 @@ class _KernelEmitter:
                     count = "int(mask.sum())" if self.has_mask else "n"
                     self.out(f"result[{agg.name!r}] = {count}")
                     continue
-                src = compile_expr(agg.expr, "v", self.env)
+                src = self.expr(agg.expr, "v")
                 values = f"np.asarray({src}, dtype=np.int64)"
                 total = f"np.sum({values}, dtype=np.int64)"
                 if self.has_mask:
@@ -496,16 +572,14 @@ class _KernelEmitter:
                 self.out(f"result[{agg.name!r}] = int({total})")
         elif op.mode in (PS.CONDITIONAL, PS.GATHERED):
             sub = self._subset_inputs(base_cols)
-            count = "int(mask.sum())" if self.has_mask else "n"
-            k = self.name("k")
-            self.out(f"{k} = {count}")
             for agg in op.aggregates:
                 if agg.func == "count":
-                    self.out(f"result[{agg.name!r}] = {k}")
+                    count = "int(mask.sum())" if self.has_mask else "n"
+                    self.out(f"result[{agg.name!r}] = {count}")
                     continue
                 self.out(
                     f"result[{agg.name!r}] = int(np.sum("
-                    f"{self.agg_delta(agg, sub, k)}, dtype=np.int64))"
+                    f"{self.agg_delta(agg, sub)}, dtype=np.int64))"
                 )
         else:
             raise VectorizeError(
@@ -536,14 +610,9 @@ class _KernelEmitter:
             # masking zeroes their deltas and drops never-hit groups —
             # both equal to grouping only the selected rows.
             keys = self.name("keys")
-            key_src = compile_expr(op.key, "v", self.env)
+            key_src = self.expr(op.key, "v")
             self.out(f"{keys} = np.asarray({key_src}, dtype=np.int64)")
-            delta_names = []
-            for agg in op.aggregates:
-                d = self.name("d")
-                self.out(f"{d} = {self.agg_delta(agg, 'v', 'n')}")
-                delta_names.append(d)
-            deltas = ", ".join(delta_names)
+            deltas = self.group_deltas(op.aggregates, "v")
             if self.has_mask:
                 # The runtime folds the mask into the grouping itself
                 # (sentinel bucket) — no per-delta subset copies.
@@ -555,14 +624,11 @@ class _KernelEmitter:
                 (set(op.key.columns()) & self.view_cols) | set(base_cols)
             )
             sub = self._subset_inputs(cols)
-            count = "int(mask.sum())" if self.has_mask else "n"
-            k = self.name("k")
-            self.out(f"{k} = {count}")
             keys = self.name("keys")
-            key_src = compile_expr(op.key, sub, self.env)
+            key_src = self.expr(op.key, sub)
             self.out(f"{keys} = np.asarray({key_src}, dtype=np.int64)")
             deltas = ", ".join(
-                self.agg_delta(agg, sub, k) for agg in op.aggregates
+                self.agg_delta(agg, sub) for agg in op.aggregates
             )
             self.out(f"result = _group({keys}, [{deltas}])")
         else:
@@ -606,15 +672,10 @@ class _KernelEmitter:
 
         self.finalize = cleanup
         for conj in query.predicate_conjuncts():
-            self.narrow(_bool(compile_expr(conj, "v", self.env)))
+            self.narrow(_bool(self.expr(conj, "v")))
         keys = self.name("keys")
         self.out(f"{keys} = v[{join.fk_column!r}].astype(np.int64)")
-        delta_names = []
-        for agg in query.aggregates:
-            d = self.name("d")
-            self.out(f"{d} = {self.agg_delta(agg, 'v', 'n')}")
-            delta_names.append(d)
-        deltas = ", ".join(delta_names)
+        deltas = self.group_deltas(query.aggregates, "v")
         if self.has_mask:
             self.out(f"result = _group({keys}, [{deltas}], mask)")
         else:

@@ -14,8 +14,12 @@ strategy, serially and morsel-parallel. These tests pin that contract:
 * the degenerate plan shapes from the pipeline edge-case suite (empty
   anti-join build, all-unmatched outer groupjoin, empty-bitmap
   disjunct);
-* the grouping runtime's two internal paths (dense bincount vs sorted
-  reduceat) against each other and against int64 wraparound semantics;
+* the grouping runtime's two internal paths (dense ``np.add.at`` vs
+  sorted reduceat) against each other, against int64 wraparound
+  semantics, and for the ``count`` sentinel;
+* membership: direct-address bitmap lookups against binary search,
+  across probe dtypes and int64 extremes;
+* common-subexpression reuse in the generated source;
 * the engine-level seams: backend-qualified plan-cache keys, the
   recorded effective backend, and the instrumented fallback when
   vectorization fails.
@@ -228,12 +232,17 @@ class TestGroupingRuntime:
     def _reference(self, keys, deltas, mask=None):
         if mask is not None:
             keys = keys[mask]
-            deltas = [d[mask] for d in deltas]
+            deltas = [None if d is None else d[mask] for d in deltas]
         uniq = np.unique(keys)
         aggs = np.stack(
             [
                 np.array(
-                    [d[keys == k].sum(dtype=np.int64) for k in uniq],
+                    [
+                        (keys == k).sum()
+                        if d is None
+                        else d[keys == k].sum(dtype=np.int64)
+                        for k in uniq
+                    ],
                     dtype=np.int64,
                 )
                 for d in deltas
@@ -278,10 +287,11 @@ class TestGroupingRuntime:
         assert got["keys"].size == 0
         assert got["aggs"].shape == (0, 1)
 
-    def test_bincount_path_wraps_like_int64(self):
-        # Two deltas whose int64 sum overflows: the hi/lo-split bincount
+    def test_add_at_path_wraps_like_int64(self):
+        # Deltas whose int64 sum overflows: the dense path's np.add.at
         # must wrap mod 2^64 exactly as repeated int64 addition does.
         keys = np.zeros(4, dtype=np.int64)
+        assert npexec._dense_codes(keys) is not None
         big = np.int64(2**62)
         deltas = [np.array([big, big, big, big], dtype=np.int64)]
         with np.errstate(over="ignore"):
@@ -291,6 +301,30 @@ class TestGroupingRuntime:
         got = npexec.group_sorted(keys, deltas)
         assert got["aggs"][0, 0] == expected
 
+    def test_dense_path_has_no_row_cliff(self, rng):
+        # Serial scans of more than 2^21 rows stay on the dense path.
+        n = (1 << 21) + 1
+        keys = rng.integers(-3, 5, size=n, dtype=np.int64)
+        assert npexec._dense_codes(keys) is not None
+        deltas = [
+            rng.integers(-(2**62), 2**62, size=n, dtype=np.int64),
+            None,
+        ]
+        mask = rng.integers(0, 2, size=n, dtype=bool)
+        self._check(keys, deltas)
+        self._check(keys, deltas, mask)
+
+    @pytest.mark.parametrize("spread", (100, 2**40))
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_count_sentinel_fills_group_sizes(self, rng, spread, masked):
+        keys = rng.integers(0, spread, size=3000, dtype=np.int64)
+        assert (npexec._dense_codes(keys) is not None) == (spread == 100)
+        deltas = [None, rng.integers(-50, 50, size=keys.size), None]
+        mask = (
+            rng.integers(0, 2, size=keys.size, dtype=bool) if masked else None
+        )
+        self._check(keys, deltas, mask)
+
     @pytest.mark.parametrize("spread", (64, 2**40))
     def test_count_by_matches_unique(self, rng, spread):
         keys = rng.integers(0, spread, size=4000, dtype=np.int64)
@@ -299,6 +333,119 @@ class TestGroupingRuntime:
         assert np.array_equal(got_keys, uniq)
         assert got_counts.dtype == np.int64
         assert np.array_equal(got_counts, counts)
+
+
+class TestMembership:
+    """Direct-address bitmap lookups agree with binary search over the
+    sorted unique build keys for every probe value and dtype."""
+
+    I64_MIN = np.iinfo(np.int64).min
+    I64_MAX = np.iinfo(np.int64).max
+
+    def _check(self, build, probe):
+        built = npexec.key_set(np.asarray(build))
+        keys = built["keys"]
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, np.unique(np.asarray(build, np.int64)))
+        wide = np.asarray(probe).astype(np.int64)
+        pos = np.minimum(np.searchsorted(keys, wide), max(keys.size - 1, 0))
+        want = (
+            keys[pos] == wide if keys.size else np.zeros(wide.size, bool)
+        )
+        got = npexec.member(np.asarray(probe), built)
+        assert got.dtype == bool
+        assert np.array_equal(got, want)
+        return built
+
+    def test_dense_build_uses_bitmap(self, rng):
+        build = rng.integers(1000, 5000, size=2000, dtype=np.int64)
+        probe = rng.integers(0, 6000, size=20_000, dtype=np.int64)
+        assert self._check(build, probe)["lookup"] is not None
+
+    def test_int64_extremes(self):
+        edges = np.array(
+            [self.I64_MIN, self.I64_MIN + 1, -1, 0, 1,
+             self.I64_MAX - 1, self.I64_MAX],
+            dtype=np.int64,
+        )
+        for build in (
+            np.array([self.I64_MIN, self.I64_MIN + 3], dtype=np.int64),
+            np.array([self.I64_MAX - 3, self.I64_MAX], dtype=np.int64),
+            np.array([-2, 0, 2], dtype=np.int64),
+        ):
+            assert self._check(build, edges)["lookup"] is not None
+            # Narrow probes against extreme bases: the int64 offset
+            # wraps, and must still clamp onto the sentinel.
+            self._check(build, np.array(
+                [-(2**31), -1, 0, 1, 2**31 - 1], dtype=np.int32
+            ))
+
+    def test_negative_keys(self, rng):
+        build = rng.integers(-70_000, -60_000, size=500, dtype=np.int64)
+        probe = rng.integers(-80_000, 80_000, size=10_000, dtype=np.int64)
+        assert self._check(build, probe)["lookup"] is not None
+
+    @pytest.mark.parametrize("dtype", (np.int8, np.int16, np.int32))
+    def test_narrow_probe_columns(self, rng, dtype):
+        info = np.iinfo(dtype)
+        # Keys packed near the top of the dtype's range keep the build
+        # compact; probes cover both ends of the range.
+        low = max(int(info.min), int(info.max) - 60_000)
+        build = rng.integers(low, info.max, size=50).astype(dtype)
+        probe = np.concatenate((
+            np.arange(info.min, info.min + 300),
+            np.arange(info.max - 300, info.max + 1),
+            rng.integers(info.min, info.max, size=2000),
+        )).astype(dtype)
+        assert self._check(build, probe)["lookup"] is not None
+
+    def test_empty_build(self):
+        built = self._check(
+            np.empty(0, dtype=np.int32), np.arange(-5, 5, dtype=np.int32)
+        )
+        assert built["lookup"] is None
+
+    def test_single_key_build(self):
+        for key in (self.I64_MIN, 0, 7, self.I64_MAX):
+            probe = np.array(
+                [self.I64_MIN, key, 0, 7, self.I64_MAX], dtype=np.int64
+            )
+            built = self._check(np.array([key], dtype=np.int64), probe)
+            assert built["lookup"] is not None
+
+    def test_sparse_build_falls_back_to_search(self, rng):
+        build = rng.integers(0, 2**40, size=1000, dtype=np.int64)
+        probe = np.concatenate((build[:500], build[:500] + 1))
+        assert self._check(build, probe)["lookup"] is None
+        # Spread two keys to the int64 extremes: no bitmap either.
+        built = self._check(
+            np.array([self.I64_MIN, self.I64_MAX], dtype=np.int64),
+            np.array([self.I64_MIN, 0, self.I64_MAX], dtype=np.int64),
+        )
+        assert built["lookup"] is None
+
+
+class TestGeneratedSource:
+    """Shape of the generated kernels."""
+
+    def test_repeated_arithmetic_is_computed_once(self, tpch_db):
+        # Q1's charge sum multiplies the disc_price expression by the
+        # tax factor: the product is emitted once, as a temporary.
+        source = compile_pipeline(
+            logical_plan("Q1"), tpch_db, "swole", backend="vectorized"
+        ).source
+        product = (
+            "_i64(v['l_extendedprice']) * "
+            "_i64((_i64(np.int64(100)) - _i64(v['l_discount'])))"
+        )
+        assert source.count(product) == 1
+
+    def test_count_aggregates_build_no_ones_column(self, tpch_db):
+        source = compile_pipeline(
+            logical_plan("Q1"), tpch_db, "swole", backend="vectorized"
+        ).source
+        assert "np.ones(" not in source
+        assert "None], mask)" in source
 
 
 class TestEngineSeams:
